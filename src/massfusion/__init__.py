@@ -20,7 +20,7 @@ from .bba import (
     vacuous_bba,
     validate_bba,
 )
-from .diagnostics import Diagnostics, FallbackEvent, PcrDiagnostics, RedistributionRecord
+from .diagnostics import Diagnostics, FallbackEvent, RedistributionRecord
 from .errors import (
     BeliefFusionError,
     CapacityError,
@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bba", "CanonicalElement", "ConflictLedger", "ConflictTerm", "Diagnostics",
     "FallbackEvent", "Frame", "KERNEL_BACKEND", "MassMatrix", "Model",
-    "PcrDiagnostics", "RawConjunctive", "RedistributionRecord", "RULES",
+    "RawConjunctive", "RedistributionRecord", "RULES",
     "RULE_ORDER", "RuleOptions", "BeliefFusionError", "CapacityError",
     "ExprSyntaxError", "MassOnEmptyError", "NegativeMassError",
     "NotNormalizedError", "TotalConflictError", "UnknownLabelError",

@@ -15,6 +15,16 @@ def u_of(model, elements):
     return model.reduce(model.frame.element((mask,)))
 
 
+def components(model, conflict):
+    """Distinct reduced clause elements of a conflict, in clause order.
+
+    Under dynamic constraints two clauses can collapse to one element;
+    counting it twice would skew the proportional split.
+    """
+    return list(dict.fromkeys(
+        model.reduce(model.frame.element((c,))) for c in conflict.clauses))
+
+
 def terminal_element(model):
     """Where mass goes when every fallback is empty: θ0 if enabled, else ∅."""
     if model.theta0_enabled:

@@ -1,4 +1,4 @@
-"""Belief assignments, the mass matrix, and the conflict ledger.
+"""Belief assignments, the mass matrix, the product-term walk and the conflict ledger.
 
 Rule arithmetic runs on exact rationals: every float mass is converted once
 through :func:`to_fraction`, which snaps to a denominator of at most 10**6
@@ -7,12 +7,13 @@ when that loses nothing, so that summation order can never perturb results.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import MassOnEmptyError, NegativeMassError, NotNormalizedError
-from .kernels import intersect_canon
+from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
+from .kernels import absorb_masks, intersect_canon
 from .lattice import CanonicalElement, OPEN
 
 MASS_EPS = 1e-12
@@ -38,8 +39,9 @@ class Bba:
     Maps canonical elements to masses.  Keys may be given as expression
     strings or :class:`CanonicalElement` values; they are reduced under the
     model, merged when equivalent, and masses below ``1e-12`` are pruned.
-    Construction rejects negative masses; :func:`validate_bba` additionally
-    enforces normalization and the empty-mass discipline.
+    Construction rejects negative, non-numeric and non-finite masses;
+    :func:`validate_bba` additionally enforces normalization and the
+    empty-mass discipline.
     """
 
     __slots__ = ("model", "masses")
@@ -55,7 +57,12 @@ class Bba:
             else:
                 raise TypeError(f"bad mass key {key!r}")
             if not isinstance(value, Fraction):
-                value = float(value)
+                try:
+                    value = float(value)
+                except (TypeError, ValueError):
+                    raise BeliefFusionError(f"mass {value!r} on {elem} is not a number") from None
+                if not math.isfinite(value):
+                    raise BeliefFusionError(f"mass {value!r} on {elem} is not finite")
             if value < 0:
                 raise NegativeMassError(elem, value)
             if isinstance(value, float) and value < MASS_EPS:
@@ -130,7 +137,7 @@ def vacuous_bba(model):
 class MassMatrix:
     """An ordered stack of assignments sharing one frame and model."""
 
-    __slots__ = ("sources", "model", "_columns")
+    __slots__ = ("sources", "model", "_columns", "_consensus")
 
     def __init__(self, sources):
         sources = tuple(sources)
@@ -143,6 +150,7 @@ class MassMatrix:
         self.sources = sources
         self.model = model
         self._columns = None
+        self._consensus = {}  # model -> RawConjunctive, filled by rules_core.conjunctive
 
     @property
     def s(self):
@@ -187,6 +195,35 @@ def column_sum(matrix, element, model=None):
     return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
 
 
+def focal_lists(sources):
+    """Each source's (element, exact mass) pairs in element order."""
+    return [sorted(src.fractions().items()) for src in sources]
+
+
+def product_terms(focal_lists):
+    """Stream every product of one focal element per source.
+
+    Yields ``(factors, product, clauses)``: the tuple of ``(element, mass)``
+    factors, the product of their masses, and the free canonical form of
+    their intersection.  Terms come in lexicographic factor order, and the
+    walk is depth-first, so each prefix intersection and product is
+    computed once and shared by every term that extends it.
+    """
+    return _extend(focal_lists, (), Fraction(1), None)
+
+
+def _extend(focal_lists, factors, product, clauses):
+    depth = len(factors)
+    for item in focal_lists[depth]:
+        elem, mass = item
+        here = elem.clauses if clauses is None else intersect_canon(clauses, elem.clauses)
+        term = (factors + (item,), product * mass, here)
+        if depth + 1 == len(focal_lists):
+            yield term
+        else:
+            yield from _extend(focal_lists, *term)
+
+
 @dataclass(frozen=True)
 class ConflictTerm:
     """One product of focal elements with an empty combined intersection."""
@@ -194,9 +231,6 @@ class ConflictTerm:
     factors: tuple  # one (element, mass fraction) per source
     product: Fraction
     intersection: CanonicalElement  # free canonical form, empty under the model
-
-    def sort_key(self):
-        return tuple(f[0].clauses for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -206,52 +240,46 @@ class ConflictLedger:
     terms: tuple
     partials: dict  # free-canonical empty intersection -> summed mass
     k: Fraction
-    involved: frozenset  # elements involved in the conflict
+    model: object = field(repr=False, compare=False)
 
     def partial(self, element):
         return self.partials.get(element, Fraction(0))
 
+    @cached_property
+    def involved(self):
+        """Elements involved in the conflict, computed on first read.
+
+        An element is involved when it occurs as a non-empty factor of some
+        conflict term and does not include the intersection of the
+        remaining factors of that term: the absorbed union of their clauses.
+        """
+        model = self.model
+        frame = model.frame
+        out = set()
+        for term in self.terms:
+            for i, (elem, _) in enumerate(term.factors):
+                if model.reduce(elem).empty:
+                    continue
+                rest = absorb_masks([c for j, (other, _) in enumerate(term.factors)
+                                     if j != i for c in other.clauses])
+                if not elem.contains(frame.element(rest)):
+                    out.add(elem)
+        return frozenset(out)
+
 
 def conflict_ledger(matrix, model=None):
-    """Enumerate every source tuple whose intersection is empty.
-
-    An element is involved in the conflict when it occurs as a factor of
-    some conflict term and does not include the intersection of the
-    remaining factors of that term.
-    """
+    """Every product of source focal elements whose intersection is empty."""
     model = model or matrix.model
     if matrix.s < 2:
         raise ValueError("conflict needs at least two sources")
     frame = model.frame
-    focal = [sorted(src.fractions().items()) for src in matrix.sources]
     terms = []
-    involved = set()
-    for combo in itertools.product(*focal):
-        clauses = combo[0][0].clauses
-        product = combo[0][1]
-        for elem, mass in combo[1:]:
-            clauses = intersect_canon(clauses, elem.clauses)
-            product *= mass
-        if product == 0:
-            continue
-        inter = frame.element(clauses)
-        if not model.reduce(inter).empty:
+    partials = {}
+    for factors, product, clauses in product_terms(focal_lists(matrix.sources)):
+        if not model.reduce(frame.element(clauses)).empty:
             continue
         inter = frame.element(clauses, empty=True)
-        terms.append(ConflictTerm(tuple(combo), product, inter))
-        for i, (elem, _) in enumerate(combo):
-            if model.reduce(elem).empty:
-                continue
-            rest = None
-            for j, (other, _) in enumerate(combo):
-                if j != i:
-                    rest = other.clauses if rest is None else intersect_canon(rest, other.clauses)
-            if not elem.contains(frame.element(rest)):
-                involved.add(elem)
-    terms.sort(key=ConflictTerm.sort_key)
-    partials = {}
-    for t in terms:
-        partials[t.intersection] = partials.get(t.intersection, Fraction(0)) + t.product
-    partials = {k: partials[k] for k in sorted(partials)}
-    k_total = sum((t.product for t in terms), Fraction(0))
-    return ConflictLedger(tuple(terms), partials, k_total, frozenset(involved))
+        terms.append(ConflictTerm(factors, product, inter))
+        partials[inter] = partials.get(inter, Fraction(0)) + product
+    k = sum(partials.values(), Fraction(0))
+    return ConflictLedger(tuple(terms), {e: partials[e] for e in sorted(partials)}, k, model)

@@ -24,13 +24,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .bba import Bba, MassMatrix, conflict_ledger, validate_bba
+from .bba import Bba, MassMatrix, validate_bba
 from .diagnostics import Diagnostics
 from .errors import BeliefFusionError, ScenarioError, TotalConflictError
 from .lattice import CLOSED, FREE, HYBRID, Model, SHAFER, Frame
 from .registry import RULE_ORDER, RuleOptions, run_rule
+from .rules_core import conjunctive
 
 COINCIDE_TOL = 1e-9
 
@@ -81,21 +82,42 @@ def load_scenario(path, overrides=None):
     return scenario_from_dict(doc, path=path, overrides=overrides)
 
 
+def _object(doc, key, path):
+    """The JSON object under ``key``, empty when absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: {key!r} must be an object")
+    return value
+
+
+def _tables(doc, key, path):
+    """The list of mass tables under ``key``, checked for shape."""
+    tables = doc.get(key, [])
+    if not isinstance(tables, list) or not all(isinstance(t, dict) for t in tables):
+        raise ScenarioError(f"{path}: {key!r} must be a list of objects mapping elements to masses")
+    return tables
+
+
 def scenario_from_dict(doc, path="<scenario>", overrides=None):
     overrides = overrides or {}
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: a scenario must be a JSON object")
     try:
         frame = Frame(doc["frame"])
-        mspec = doc.get("model", {})
+        mspec = _object(doc, "model", path)
         kind = mspec.get("kind", "shafer")
         if kind not in (FREE, SHAFER, HYBRID):
             raise ScenarioError(f"{path}: unknown model kind {kind!r}")
-        model = Model(
-            frame,
-            kind,
-            mspec.get("empty", ()),
-            world=mspec.get("world", CLOSED),
-            theta0=bool(mspec.get("theta0", False)),
-        )
+        try:
+            model = Model(
+                frame,
+                kind,
+                mspec.get("empty", ()),
+                world=mspec.get("world", CLOSED),
+                theta0=bool(mspec.get("theta0", False)),
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
         dynamic = doc.get("dynamic_empty", ())
         if dynamic:
             base = [str(c) for c in model.constraints]
@@ -112,7 +134,7 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
             )
         else:
             fusion_model = model
-        raw_sources = doc.get("sources", [])
+        raw_sources = _tables(doc, "sources", path)
         if not raw_sources:
             raise ScenarioError(f"{path}: no sources")
         sources = []
@@ -122,7 +144,7 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
             except BeliefFusionError as exc:
                 raise ScenarioError(f"{path}: source {i + 1}: {exc}") from exc
         stream = []
-        for i, table in enumerate(doc.get("stream", [])):
+        for i, table in enumerate(_tables(doc, "stream", path)):
             try:
                 stream.append(validate_bba(Bba(model, table)))
             except BeliefFusionError as exc:
@@ -131,9 +153,13 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
         for r in rules:
             if r not in RULE_ORDER:
                 raise ScenarioError(f"{path}: unknown rule {r!r}")
-        ospec = dict(doc.get("options", {}))
+        ospec = dict(_object(doc, "options", path))
         ospec.update({k: v for k, v in overrides.items() if k != "rules" and v is not None})
         order = ospec.get("order")
+        n = len(sources)
+        if order and not (isinstance(order, list) and all(isinstance(i, int) for i in order)
+                          and sorted(order) == list(range(1, n + 1))):
+            raise ScenarioError(f"{path}: order must be a permutation of 1..{n}")
         options = RuleOptions(
             minc_version=ospec.get("minc_version", "a"),
             wao_mode=ospec.get("wao_mode", "static"),
@@ -168,7 +194,7 @@ def run_scenario(scenario) -> Report:
     runs = [_execute(name, matrix, scenario) for name in scenario.rules]
     k = None
     if matrix.s >= 2:
-        k = float(conflict_ledger(matrix, scenario.fusion_model).k)
+        k = float(conjunctive(matrix, scenario.fusion_model).reduced()[2])
     return Report(scenario, runs, k=k)
 
 
@@ -212,8 +238,7 @@ def sequential_fusion(scenario) -> Report:
 
 def compare_rules(scenario) -> Report:
     """Run every rule and flag the pairs that coincide."""
-    scenario.rules = list(RULE_ORDER)
-    report = run_scenario(scenario)
+    report = run_scenario(replace(scenario, rules=list(RULE_ORDER)))
     ok = [r for r in report.runs if not r.error]
     diffs = {}
     coincident = []
@@ -334,6 +359,19 @@ def _render_machine(report, precision, timing):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
 
 
+def _order(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected source numbers like 1,2,3, got {text!r}") from None
+
+
+def _precision(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="massfusion",
@@ -351,10 +389,10 @@ def build_parser():
     p.add_argument("--minc-version", choices=("a", "b"), default=None)
     p.add_argument("--wao-mode", choices=("static", "dynamic"), default=None)
     p.add_argument("--pcr5", choices=("exact", "approx"), default=None)
-    p.add_argument("--order", default=None, metavar="I,J,...",
+    p.add_argument("--order", type=_order, default=None, metavar="I,J,...",
                    help="source order for the approximate PCR5 variant")
     p.add_argument("--format", choices=("table", "machine"), default="table")
-    p.add_argument("--precision", type=int, default=6, metavar="N")
+    p.add_argument("--precision", type=_precision, default=6, metavar="N")
     p.add_argument("--timing", action="store_true", help="include per-rule timings")
     return p
 
@@ -366,7 +404,7 @@ def main(argv=None):
         "minc_version": args.minc_version,
         "wao_mode": args.wao_mode,
         "pcr5": args.pcr5,
-        "order": [int(x) for x in args.order.split(",")] if args.order else None,
+        "order": args.order,
     }
     try:
         scenario = load_scenario(args.scenario, overrides)

@@ -54,6 +54,3 @@ class Diagnostics:
         out += [f for f in self.fallbacks if f.source == source]
         return out
 
-
-# The PCR rules and minC share the same record shapes.
-PcrDiagnostics = Diagnostics

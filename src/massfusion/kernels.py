@@ -1,26 +1,38 @@
-"""Kernel backend selection.
+"""Clause-mask kernels.
 
-Imports the compiled clause-mask kernels when the extension is available,
-falling back to the pure-Python implementation otherwise.  Set
-``MASSFUSION_KERNEL=pure`` (or ``compiled``) to force a backend; forcing
-``compiled`` raises if the extension is missing.
+A lattice element is stored as a sorted tuple of clause bitmasks over the
+frame labels.  Each clause denotes the union of its labels; the element
+denotes the intersection of its clauses.  All three kernels keep the clause
+set absorption-reduced: whenever one clause is a subset of another, the
+larger clause is redundant and dropped.  A strict subset always has the
+smaller integer value, so scanning masks in ascending order finds every
+absorber before its victims.
 """
 
-import os
+BACKEND = "pure"
 
-_choice = os.environ.get("MASSFUSION_KERNEL", "").strip().lower()
 
-if _choice == "pure":
-    from . import _pykernels as _impl
-elif _choice == "compiled":
-    from . import _ckernels as _impl  # type: ignore[attr-defined]
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
+def absorb_masks(masks):
+    """Reduce an iterable of clause masks to a sorted antichain tuple."""
+    out = []
+    for m in sorted(set(masks)):
+        for kept in out:
+            if kept & ~m == 0:
+                break
+        else:
+            out.append(m)
+    return tuple(out)
 
-BACKEND = _impl.BACKEND
-absorb_masks = _impl.absorb_masks
-intersect_canon = _impl.intersect_canon
-union_canon = _impl.union_canon
+
+def intersect_canon(a, b):
+    """Canonical form of the intersection of two canonical elements."""
+    if a == b:
+        return a
+    return absorb_masks(a + b)
+
+
+def union_canon(a, b):
+    """Canonical form of the union of two canonical elements."""
+    if a == b:
+        return a
+    return absorb_masks([x | y for x in a for y in b])

@@ -13,9 +13,9 @@ from .rules_classic import (
     wao,
     yager,
 )
-from .rules_core import conjunctive, disjunctive
+from .rules_core import _finish, conjunctive, disjunctive
 from .rules_minc import VERSION_A, minc
-from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_multi, pcr5_approximate, pcr5_pair
+from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi
 
 
 @dataclass(frozen=True)
@@ -30,19 +30,12 @@ class RuleOptions:
 
 def _run_conjunctive(matrix, model, opts, diag):
     nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
-    from .bba import Bba
-
-    out = {e: float(v) for e, v in nonempty.items()}
-    for e, v in conflicts.items():
-        out[model.frame.element(e.clauses, empty=True)] = out.get(e, 0.0) + float(v)
-    return Bba(model, out)
+    return _finish(model, {**nonempty, **conflicts})
 
 
 def _run_pcr5(matrix, model, opts, diag):
     if opts.pcr5_variant == "approx":
         return pcr5_approximate(matrix, model, opts.order, diag)
-    if matrix.s == 2:
-        return pcr5_pair(matrix.sources[0], matrix.sources[1], model, diag)
     return pcr5_multi(matrix, model, diag)
 
 

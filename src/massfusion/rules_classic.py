@@ -14,14 +14,10 @@ from fractions import Fraction
 from ._transfer import add, fallback_chain, u_of
 from .bba import Bba, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
-from .kernels import union_canon
-from .rules_core import conjunctive
+from .kernels import intersect_canon, union_canon
+from .rules_core import _finish, _fold, conjunctive
 
 _K_ONE_TOL = Fraction(1, 10 ** 12)
-
-
-def _finish(model, out):
-    return Bba(model, {k: float(v) for k, v in out.items()})
 
 
 def dempster(matrix, model=None, diag=None) -> Bba:
@@ -58,22 +54,22 @@ def yager(matrix, model=None, diag=None) -> Bba:
     return _finish(model, out)
 
 
-def _dp_pair(model, left, right):
-    """One Dubois-Prade pass over two mass mappings (clauses -> fraction)."""
+def _dp_combine(model):
+    """Where Dubois-Prade sends a product of two clause tuples.
+
+    The intersection under the model when it is non-empty, else the union
+    of the factors, else the total ignorance.
+    """
     frame = model.frame
-    out = {}
-    for ca, va in left.items():
-        ea = frame.element(ca)
-        for cb, vb in right.items():
-            inter = model.element_intersection(ea, frame.element(cb))
-            if not inter.empty:
-                add(out, inter.clauses, va * vb)
-            else:
-                union = model.reduce(frame.element(union_canon(ca, cb)))
-                if union.empty:
-                    union = model.total_ignorance()
-                add(out, union.clauses, va * vb)
-    return out
+
+    def combine(a, b):
+        inter = model.reduce(frame.element(intersect_canon(a, b)))
+        if not inter.empty:
+            return inter.clauses
+        union = model.reduce(frame.element(union_canon(a, b)))
+        return (model.total_ignorance() if union.empty else union).clauses
+
+    return combine
 
 
 def dubois_prade(matrix, model=None, diag=None) -> Bba:
@@ -83,17 +79,13 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     the result order-dependent (the rule is not associative).
     """
     model = model or matrix.model
-    fracs = matrix.fractions()
-    acc = {e.clauses: m for e, m in fracs[0].items()}
-    for src in fracs[1:]:
-        acc = _dp_pair(model, acc, {e.clauses: m for e, m in src.items()})
+    acc = _fold(matrix.fractions(), _dp_combine(model))
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
     out = {}
     for clauses, mass in acc.items():
-        key = model.reduce(model.frame.element(clauses))
-        add(out, key, mass)
+        add(out, model.reduce(model.frame.element(clauses)), mass)
     return _finish(model, out)
 
 

@@ -3,25 +3,42 @@
 The conjunctive combination is folded pairwise on the free lattice, keeping
 every empty-intersection entry as a distinct canonical element.  Rules then
 view the result under a model, which merges equivalent non-empty entries
-and leaves the partial-conflict breakdown untouched.
+and leaves the partial-conflict breakdown untouched.  A matrix keeps its
+consensus per model, so every rule run on one matrix shares one fold, one
+model view and at most one conflict ledger.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bba import Bba, ConflictLedger, conflict_ledger
+from .bba import Bba, ConflictLedger, MassMatrix, conflict_ledger
 from .kernels import intersect_canon, union_canon
 
 
-def _fold(acc, source_fracs, combine):
-    out = {}
-    for ca, va in acc.items():
-        for cb, vb in source_fracs.items():
-            key = combine(ca, cb.clauses)
-            prev = out.get(key)
-            out[key] = va * vb if prev is None else prev + va * vb
-    return out
+def _fold(fracs, combine):
+    """Fold the sources' exact masses left to right, product by product.
+
+    ``combine(a, b)`` maps the clause tuples of two factors to the clause
+    tuple that receives their product.
+    """
+    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
+    for src in fracs[1:]:
+        out = {}
+        for ca, va in acc.items():
+            for cb, vb in src.items():
+                key = combine(ca, cb.clauses)
+                prev = out.get(key)
+                out[key] = va * vb if prev is None else prev + va * vb
+        acc = out
+    return acc
+
+
+def _finish(model, out, exact=False):
+    """A rule's result: a float ``Bba``, or with ``exact`` the sorted rational masses."""
+    if exact:
+        return {k: out[k] for k in sorted(out)}
+    return Bba(model, {k: float(v) for k, v in out.items()})
 
 
 class RawConjunctive:
@@ -31,12 +48,14 @@ class RawConjunctive:
     exact rational masses; empty-intersection entries are included, so the
     total is one.  ``reduced()`` gives the model view: merged non-empty
     masses, the per-element partial conflicts, and the total conflict.
+    ``sources`` are the assignments it was folded from, whose products the
+    ledger enumerates.
     """
 
-    __slots__ = ("matrix", "model", "masses", "_ledger", "_reduced")
+    __slots__ = ("sources", "model", "masses", "_ledger", "_reduced")
 
-    def __init__(self, matrix, model, masses):
-        self.matrix = matrix
+    def __init__(self, sources, model, masses):
+        self.sources = sources
         self.model = model
         self.masses = masses
         self._ledger = None
@@ -44,7 +63,7 @@ class RawConjunctive:
 
     def ledger(self) -> ConflictLedger:
         if self._ledger is None:
-            self._ledger = conflict_ledger(self.matrix, self.model)
+            self._ledger = conflict_ledger(MassMatrix(self.sources), self.model)
         return self._ledger
 
     def reduced(self):
@@ -71,20 +90,21 @@ class RawConjunctive:
 
 
 def conjunctive(matrix, model=None) -> RawConjunctive:
-    """Conjunctive consensus of all sources.
+    """Conjunctive consensus of all sources, computed once per matrix and model.
 
     Folds pairwise over canonical intermediate results, which is exact
     because intersection on the free lattice is associative.  Under a free
     model nothing is empty and the result is itself a proper assignment.
     """
     model = model or matrix.model
-    frame = model.frame
-    fracs = matrix.fractions()
-    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
-    for src in fracs[1:]:
-        acc = _fold(acc, src, intersect_canon)
-    masses = {frame.element(c): v for c, v in acc.items()}
-    return RawConjunctive(matrix, model, {k: masses[k] for k in sorted(masses)})
+    raw = matrix._consensus.get(model)
+    if raw is None:
+        frame = model.frame
+        acc = _fold(matrix.fractions(), intersect_canon)
+        masses = {frame.element(c): v for c, v in acc.items()}
+        raw = RawConjunctive(matrix.sources, model, {k: masses[k] for k in sorted(masses)})
+        matrix._consensus[model] = raw
+    return raw
 
 
 def disjunctive(matrix, model=None) -> Bba:
@@ -95,12 +115,8 @@ def disjunctive(matrix, model=None) -> Bba:
     """
     model = model or matrix.model
     frame = model.frame
-    fracs = matrix.fractions()
-    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
-    for src in fracs[1:]:
-        acc = _fold(acc, src, union_canon)
     out = {}
-    for clauses, mass in acc.items():
+    for clauses, mass in _fold(matrix.fractions(), union_canon).items():
         key = model.reduce(frame.element(clauses))
         out[key] = out.get(key, Fraction(0)) + mass
-    return Bba(model, {k: float(v) for k, v in out.items()})
+    return _finish(model, out)

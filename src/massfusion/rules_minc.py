@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 
-from ._transfer import fallback_chain, proportional, u_of
+from ._transfer import components, fallback_chain, proportional, u_of
 from .bba import Bba
-from .rules_core import RawConjunctive, conjunctive
+from .rules_core import RawConjunctive, _finish, conjunctive
 
 VERSION_A = "a"
 VERSION_B = "b"
@@ -30,12 +30,7 @@ def ebr_reallocate(raw: RawConjunctive, model=None) -> RawConjunctive:
     nonempty, conflicts, _ = raw.reduced()
     merged = dict(nonempty)
     merged.update(conflicts)
-    return RawConjunctive(raw.matrix, model, {k: merged[k] for k in sorted(merged)})
-
-
-def _components(model, conflict):
-    """The clause elements a conflict is built from, reduced under the model."""
-    return [model.reduce(model.frame.element((c,))) for c in conflict.clauses]
+    return RawConjunctive(raw.sources, model, {k: merged[k] for k in sorted(merged)})
 
 
 def _destinations_a(model, components):
@@ -75,7 +70,7 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
     out = dict(nonempty)
     columns = matrix.column_sums(model)
     for conflict, mass in conflicts.items():
-        comps = _components(model, conflict)
+        comps = components(model, conflict)
         if version == VERSION_A:
             dests = _destinations_a(model, comps)
         else:
@@ -84,7 +79,7 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
         if weighted:
             proportional(out, conflict, mass, weighted, diag)
             continue
-        by_columns = [(c, columns[c]) for c in sorted(set(comps))
+        by_columns = [(c, columns[c]) for c in sorted(comps)
                       if not c.empty and columns.get(c)]
         if by_columns:
             proportional(out, conflict, mass, by_columns, diag)
@@ -93,4 +88,4 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
             continue
         fallback_chain(model, out, conflict, mass,
                        [("disjunctive-form", u_of(model, [conflict]))], diag)
-    return Bba(model, {k: float(v) for k, v in out.items()})
+    return _finish(model, out)

@@ -18,17 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import add, fallback_chain, proportional, u_of
-from .bba import Bba, MassMatrix
-from .diagnostics import PcrDiagnostics  # noqa: F401  (re-exported)
-from .kernels import intersect_canon
-from .rules_core import conjunctive
-
-
-def _finish(model, out, exact=False):
-    if exact:
-        return {k: out[k] for k in sorted(out)}
-    return Bba(model, {k: float(v) for k, v in out.items()})
+from ._transfer import add, components, fallback_chain, proportional, u_of
+from .bba import Bba, MassMatrix, focal_lists, product_terms
+from .rules_core import _finish, conjunctive
 
 
 def _ignorance_stages(model, elements):
@@ -77,16 +69,6 @@ def pcr2(matrix, model=None, diag=None) -> Bba:
     return _finish(model, out)
 
 
-def _components(model, conflict):
-    """Distinct reduced clause elements of a conflict, in clause order.
-
-    Under dynamic constraints two clauses can collapse to one element;
-    counting it twice would skew the proportional split.
-    """
-    return list(dict.fromkeys(
-        model.reduce(model.frame.element((c,))) for c in conflict.clauses))
-
-
 def _split_partial(model, out, conflict, mass, weighted, components, diag):
     """Common tail of PCR3/PCR4: weights, then columns, then ignorances."""
     if weighted:
@@ -103,7 +85,7 @@ def pcr3(matrix, model=None, diag=None) -> Bba:
     out = dict(nonempty)
     columns = matrix.column_sums(model)
     for conflict, mass in conflicts.items():
-        comps = _components(model, conflict)
+        comps = components(model, conflict)
         weighted = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)]
         _split_partial(model, out, conflict, mass, weighted, comps, diag)
     return _finish(model, out)
@@ -120,7 +102,7 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
     out = dict(nonempty)
     columns = matrix.column_sums(model)
     for conflict, mass in conflicts.items():
-        comps = _components(model, conflict)
+        comps = components(model, conflict)
         live = [e for e in comps if not e.empty]
         if live and all(nonempty.get(e) for e in live) and len(live) == len(comps):
             weighted = [(e, nonempty[e]) for e in live]
@@ -167,6 +149,25 @@ def _transfer_term(model, out, factors, product, conflict, diag):
                        _ignorance_stages(model, [e for e, _ in factors]), diag)
 
 
+def _pcr5(model, focal_lists, diag):
+    """PCR5 over every product term of the given per-source focal lists.
+
+    Non-empty products keep their mass on their intersection; each
+    conflicting product is split within itself by :func:`_transfer_term`.
+    Returns the rational masses.
+    """
+    frame = model.frame
+    out = {}
+    for factors, product, clauses in product_terms(focal_lists):
+        red = model.reduce(frame.element(clauses))
+        if not red.empty:
+            add(out, red, product)
+        else:
+            conflict = frame.element(clauses, empty=True)
+            _transfer_term(model, out, factors, product, conflict, diag)
+    return out
+
+
 def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     """Exact two-source PCR5.
 
@@ -174,37 +175,22 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     proportionally to m1(X) and m2(Y); fractions with a zero denominator
     never arise because only positive products conflict.  With ``exact``
     the result keeps its rational masses instead of becoming a ``Bba``.
+    Same as :func:`pcr5_multi` on the two sources.
     """
     model = model or m1.model
-    frame = model.frame
-    out = {}
-    for ex, vx in m1.fractions().items():
-        for ey, vy in m2.fractions().items():
-            inter = frame.element(intersect_canon(ex.clauses, ey.clauses))
-            red = model.reduce(inter)
-            if not red.empty:
-                add(out, red, vx * vy)
-            else:
-                conflict = frame.element(inter.clauses, empty=True)
-                _transfer_term(model, out, ((ex, vx), (ey, vy)), vx * vy, conflict, diag)
-    return _finish(model, out, exact)
+    return _finish(model, _pcr5(model, focal_lists((m1, m2)), diag), exact)
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
-    """General PCR5 by full product-term enumeration.
+    """General PCR5 over all sources, for two or more.
 
     Each non-zero conflicting product is redistributed within itself: the
     factors pointing at one element pool their masses multiplicatively and
-    the term splits over those pooled weights.  For two sources this
-    reproduces :func:`pcr5_pair` exactly.
+    the term splits over those pooled weights.  Products are enumerated
+    once, depth-first, with shared prefix intersections.
     """
     model = model or matrix.model
-    raw = conjunctive(matrix, model)
-    nonempty, _, _ = raw.reduced()
-    out = dict(nonempty)
-    for term in raw.ledger().terms:
-        _transfer_term(model, out, term.factors, term.product, term.intersection, diag)
-    return _finish(model, out)
+    return _finish(model, _pcr5(model, focal_lists(matrix.sources), diag))
 
 
 def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
@@ -213,11 +199,10 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     The first s-1 sources are combined conjunctively (conflict entries kept
     as lattice elements) and the stored result is then combined with the
     last source using the two-source PCR5 logic.  The order used is
-    reported through the diagnostics; two sources delegate to the exact
+    reported through the diagnostics; for two sources this is the exact
     pair rule.
     """
     model = model or matrix.model
-    frame = model.frame
     if order is None:
         order = tuple(range(1, matrix.s + 1))
     else:
@@ -227,18 +212,6 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     if diag is not None:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]
-    if matrix.s == 2:
-        return pcr5_pair(sources[0], sources[1], model, diag)
     head = conjunctive(MassMatrix(sources[:-1]), model)
-    last = sources[-1].fractions()
-    out = {}
-    for ex, vx in head.masses.items():
-        for ey, vy in last.items():
-            inter = frame.element(intersect_canon(ex.clauses, ey.clauses))
-            red = model.reduce(inter)
-            if not red.empty:
-                add(out, red, vx * vy)
-            else:
-                conflict = frame.element(inter.clauses, empty=True)
-                _transfer_term(model, out, ((ex, vx), (ey, vy)), vx * vy, conflict, diag)
-    return _finish(model, out)
+    pair = [list(head.masses.items()), *focal_lists(sources[-1:])]
+    return _finish(model, _pcr5(model, pair, diag))

@@ -1,9 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from massfusion import Bba, Frame, MassMatrix, Model, SHAFER
+from massfusion import FREE, HYBRID, SHAFER, Bba, Frame, MassMatrix, Model
+from massfusion.kernels import absorb_masks
 
 
 def assert_bba(result, expected, tol=5e-5):
@@ -52,6 +55,29 @@ def random_shafer_case(rng: random.Random, max_n=4, max_s=3, min_s=2, exact=True
             table = {"|".join(f): w / total for f, w in zip(focals, weights)}
         sources.append(Bba(model, table))
     return model, sources
+
+
+@st.composite
+def exact_matrices(draw, min_s=2, max_s=4):
+    """A Shafer, free or hybrid matrix on 2-4 labels with exact rational masses.
+
+    Focal elements are random reduced conjunctive forms; under a hybrid
+    model some of them may be empty.
+    """
+    kind = draw(st.sampled_from([SHAFER, FREE, HYBRID]))
+    n = draw(st.integers(2, 4))
+    frame = Frame([chr(ord("A") + i) for i in range(n)])
+    elements = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3).map(
+        lambda masks: frame.element(absorb_masks(masks)))
+    constraints = draw(st.lists(elements, min_size=1, max_size=2)) if kind == HYBRID else ()
+    model = Model(frame, kind, constraints)
+    sources = []
+    for _ in range(draw(st.integers(min_s, max_s))):
+        focals = draw(st.lists(elements, min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 50), min_size=len(focals), max_size=len(focals)))
+        total = sum(weights)
+        sources.append(Bba(model, {e: Fraction(w, total) for e, w in zip(focals, weights)}))
+    return MassMatrix(sources)
 
 
 @pytest.fixture

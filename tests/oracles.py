@@ -1,8 +1,12 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here works on a different representation (frozen sets of Venn
-regions / label sets) with its own tiny parser, deliberately sharing no
-code with the package under test.
+Everything here except :func:`conflict_ledger_reference` works on a
+different representation (frozen sets of Venn regions / label sets) with its
+own tiny parser, deliberately sharing no code with the package under test.
+The ledger reference reuses the package's lattice (canonical intersection
+and model reduction, checked against the region oracle elsewhere) and
+checks only the term enumeration: a flat product in place of the
+package's depth-first walk.
 """
 
 from fractions import Fraction
@@ -152,3 +156,44 @@ def disjunctive_reference(sources):
             prod *= mass
         out[union] = out.get(union, Fraction(0)) + prod
     return out
+
+
+def conflict_ledger_reference(matrix, model=None):
+    """Conflict ledger by flat enumeration of the full s-fold product.
+
+    Returns ``(terms, partials, k, involved)`` where ``terms`` lists the
+    conflicting ``(factors, product, intersection)`` triples in product
+    order.  Each term folds its own intersection, and ``involved`` tests
+    every factor against the intersection of the others, recomputed per
+    factor.
+    """
+    from massfusion.kernels import intersect_canon
+
+    model = model or matrix.model
+    frame = model.frame
+    focal = [sorted(src.fractions().items()) for src in matrix.sources]
+    terms = []
+    involved = set()
+    for combo in product(*focal):
+        clauses = combo[0][0].clauses
+        prod = combo[0][1]
+        for elem, mass in combo[1:]:
+            clauses = intersect_canon(clauses, elem.clauses)
+            prod *= mass
+        if prod == 0 or not model.reduce(frame.element(clauses)).empty:
+            continue
+        terms.append((tuple(combo), prod, frame.element(clauses, empty=True)))
+        for i, (elem, _) in enumerate(combo):
+            if model.reduce(elem).empty:
+                continue
+            rest = None
+            for j, (other, _) in enumerate(combo):
+                if j != i:
+                    rest = other.clauses if rest is None else intersect_canon(rest, other.clauses)
+            if not elem.contains(frame.element(rest)):
+                involved.add(elem)
+    partials = {}
+    for _, prod, inter in terms:
+        partials[inter] = partials.get(inter, Fraction(0)) + prod
+    k = sum((prod for _, prod, _ in terms), Fraction(0))
+    return terms, partials, k, frozenset(involved)

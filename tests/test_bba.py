@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from massfusion import (
     Bba,
+    BeliefFusionError,
     MassMatrix,
     MassOnEmptyError,
     Model,
@@ -19,7 +20,8 @@ from massfusion import (
     validate_bba,
 )
 
-from conftest import random_shafer_case
+from conftest import exact_matrices, random_shafer_case
+from oracles import conflict_ledger_reference
 
 
 def test_validate_accepts_a_proper_assignment(shafer_ab):
@@ -35,6 +37,13 @@ def test_validate_rejects_unnormalized(shafer_ab):
 def test_validate_rejects_negative_mass(shafer_ab):
     with pytest.raises(NegativeMassError):
         Bba(shafer_ab, {"A": 1.2, "B": -0.2})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "heavy", None, [0.5]],
+                         ids=["nan", "inf", "text", "null", "list"])
+def test_construction_rejects_masses_that_are_not_finite_numbers(shafer_ab, value):
+    with pytest.raises(BeliefFusionError, match="mass"):
+        Bba(shafer_ab, {"A": value, "B": 0.5})
 
 
 def test_validate_rejects_mass_on_empty_closed_world(shafer_ab):
@@ -166,6 +175,18 @@ def test_free_model_has_no_involvement(frame_abc, rng):
     ledger = conflict_ledger(MassMatrix([m1, m2]))
     assert ledger.k == 0
     assert not ledger.involved
+
+
+@given(exact_matrices())
+@settings(max_examples=150, deadline=None)
+def test_ledger_matches_the_flat_product_reference(matrix):
+    ledger = conflict_ledger(matrix)
+    terms, partials, k, involved = conflict_ledger_reference(matrix)
+    assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
+    assert list(ledger.terms) == sorted(ledger.terms, key=lambda t: [e.clauses for e, _ in t.factors])
+    assert list(ledger.partials.items()) == sorted(partials.items())
+    assert ledger.k == k
+    assert ledger.involved == involved
 
 
 # --- exact mass conversion ----------------------------------------------------

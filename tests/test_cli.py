@@ -208,3 +208,37 @@ def test_precision_flag(tmp_path, capsys):
     code, out = run_table(ZADEH, tmp_path, capsys, "--rule", "pcr5", "--precision", "3")
     assert code == 0
     assert "0.486" in out and "0.486000" not in out
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects bad flags this way
+        return exc.code
+
+
+@pytest.mark.parametrize("doc, args, needle", [
+    (dict(ZADEH, sources=[{"A": float("nan"), "C": 0.1}, {"B": 0.9, "C": 0.1}]), [], "nan"),
+    (dict(ZADEH, sources=[{"A": float("inf"), "C": 0.1}, {"B": 0.9, "C": 0.1}]), [], "inf"),
+    (dict(ZADEH, sources=[{"A": "most", "C": 0.1}, {"B": 0.9, "C": 0.1}]), [], "most"),
+    (dict(ZADEH, sources={"first": {"A": 1.0}}), [], "sources"),
+    (dict(ZADEH, stream=[["A", 1.0]]), ["--sequential"], "stream"),
+    (dict(ZADEH, model=["shafer"]), [], "model"),
+    (dict(ZADEH, model={"kind": "shafer", "world": "flat"}), [], "world"),
+    (dict(ZADEH, options=[["pcr5", "approx"]]), [], "options"),
+    (ZADEH, ["--order", "x"], "--order"),
+    (ZADEH, ["--order", "1,1"], "order"),
+    (ZADEH, ["--precision", "-1"], "--precision"),
+], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
+        "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision"])
+def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
+    assert exit_code([write(tmp_path, doc), *args]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
+def test_compare_leaves_the_scenario_rules_alone(tmp_path):
+    scenario = load_scenario(write(tmp_path, dict(ZADEH, rules=["pcr5"])))
+    report = compare_rules(scenario)
+    assert scenario.rules == ["pcr5"]
+    assert len(report.runs) > 1

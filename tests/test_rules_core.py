@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -5,15 +6,21 @@ import pytest
 
 from massfusion import (
     Bba,
+    Diagnostics,
     FREE,
     Frame,
+    HYBRID,
     MassMatrix,
     Model,
+    RULES,
+    RuleOptions,
     SHAFER,
     conjunctive,
     disjunctive,
+    run_rule,
     vacuous_bba,
 )
+from massfusion import rules_core
 
 from massfusion import to_fraction
 from massfusion.kernels import intersect_canon
@@ -135,3 +142,46 @@ def test_disjunctive_core_is_union_of_cores(rng):
         assert set(result) <= combined_core
         for elem in result:
             assert not model.reduce(elem).empty
+
+
+# --- one consensus per matrix -------------------------------------------------
+
+VARIANTS = (RuleOptions(), RuleOptions(minc_version="b", wao_mode="dynamic", pcr5_variant="approx"))
+
+
+def hybrid_triple():
+    model = Model(Frame(["A", "B", "C"]), HYBRID, ["A&B"])
+    return matrix(model, {"A": 0.5, "B|C": 0.3, "A|B|C": 0.2},
+                  {"B": 0.6, "A&C": 0.1, "A|C": 0.3},
+                  {"A": 0.2, "B": 0.2, "C": 0.6})
+
+
+def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
+    m = hybrid_triple()
+    calls = []
+    original = rules_core.conflict_ledger
+    monkeypatch.setattr(rules_core, "conflict_ledger",
+                        lambda *args: calls.append(args) or original(*args))
+    raw = conjunctive(m)
+    for name in RULES:
+        for opts in VARIANTS:
+            run_rule(name, m, options=opts, diag=Diagnostics())
+    assert conjunctive(m) is raw and conjunctive(m, m.model) is raw
+    assert len(calls) == 1
+    other = Model(m.model.frame, FREE)
+    assert conjunctive(m, other) is not raw
+    assert conjunctive(m, other).reduced()[2] == 0
+
+
+def test_rules_leave_no_reference_cycles():
+    m = hybrid_triple()  # built first: the expression parser's closures form cycles
+    gc.collect()
+    gc.disable()
+    try:
+        results = [run_rule(name, m, options=opts, diag=Diagnostics())
+                   for name in RULES for opts in VARIANTS]
+        assert all(r.total() > 0 for r in results)
+        del m, results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

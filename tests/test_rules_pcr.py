@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from massfusion import (
     Bba,
@@ -26,7 +27,7 @@ from massfusion import (
     wao,
 )
 
-from conftest import assert_bba, matrix, random_shafer_case
+from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
 from oracles import pcr5_reference
 
 ZADEH = ({"A": 0.9, "C": 0.1}, {"B": 0.9, "C": 0.1})
@@ -278,6 +279,19 @@ def test_pcr5_multi_two_sources_equals_pair(rng):
         multi = pcr5_multi(MassMatrix(sources))
         pair = pcr5_pair(sources[0], sources[1])
         assert multi.masses == pair.masses
+
+
+@given(exact_matrices(min_s=2, max_s=2))
+@settings(max_examples=150, deadline=None)
+def test_pcr5_entry_points_agree_exactly_on_two_sources(m):
+    runs = []
+    for rule in (lambda d: pcr5_pair(m[0], m[1], diag=d),
+                 lambda d: pcr5_multi(m, diag=d),
+                 lambda d: pcr5_approximate(m, diag=d)):
+        diag = Diagnostics()
+        result = rule(diag)
+        runs.append((result.masses, diag.records, diag.fallbacks))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_pcr5_multi_three_sources_matches_reference(rng):
