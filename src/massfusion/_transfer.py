@@ -15,6 +15,12 @@ def u_of(model, elements):
     return model.reduce(model.frame.element((mask,)))
 
 
+def _ignorance_stages(model, elements):
+    """The usual fallback stages: the elements' disjunctive form, then the total ignorance."""
+    return [("disjunctive-form", u_of(model, elements)),
+            ("total-ignorance", model.frame.total_ignorance())]
+
+
 def components(model, conflict):
     """Distinct reduced clause elements of a conflict, in clause order.
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
 from .kernels import absorb_masks, intersect_canon
@@ -44,7 +45,7 @@ class Bba:
     empty-mass discipline.
     """
 
-    __slots__ = ("model", "masses")
+    __slots__ = ("model", "masses", "_fractions")
 
     def __init__(self, model, masses):
         self.model = model
@@ -71,10 +72,13 @@ class Bba:
                 continue
             merged[elem] = merged.get(elem, 0) + value
         self.masses = {k: merged[k] for k in sorted(merged)}
+        self._fractions = None
 
     def fractions(self):
-        """Masses as exact rationals, keyed by element."""
-        return {k: to_fraction(v) for k, v in self.masses.items()}
+        """Masses as exact rationals, keyed by element: a read-only view, converted once."""
+        if self._fractions is None:
+            self._fractions = MappingProxyType({k: to_fraction(v) for k, v in self.masses.items()})
+        return self._fractions
 
     def total(self):
         return sum(self.masses.values())
@@ -137,7 +141,7 @@ def vacuous_bba(model):
 class MassMatrix:
     """An ordered stack of assignments sharing one frame and model."""
 
-    __slots__ = ("sources", "model", "_columns", "_consensus")
+    __slots__ = ("sources", "model", "_columns", "_consensus", "_ledgers")
 
     def __init__(self, sources):
         sources = tuple(sources)
@@ -151,6 +155,7 @@ class MassMatrix:
         self.model = model
         self._columns = None
         self._consensus = {}  # model -> RawConjunctive, filled by rules_core.conjunctive
+        self._ledgers = {}  # model -> ConflictLedger, filled by conflict_ledger
 
     @property
     def s(self):
@@ -233,6 +238,23 @@ class ConflictTerm:
     intersection: CanonicalElement  # free canonical form, empty under the model
 
 
+def walk_terms(model, focal_lists):
+    """One pass over the product terms: ``(nonempty, terms)``.
+
+    ``nonempty`` sums the non-empty products on their reduced intersections;
+    ``terms`` lists the conflicting ones as :class:`ConflictTerm` values.
+    """
+    frame = model.frame
+    nonempty, terms = {}, []
+    for factors, product, clauses in product_terms(focal_lists):
+        red = model.reduce(frame.element(clauses))
+        if red.empty:
+            terms.append(ConflictTerm(factors, product, frame.element(clauses, empty=True)))
+        else:
+            nonempty[red] = nonempty.get(red, Fraction(0)) + product
+    return {e: nonempty[e] for e in sorted(nonempty)}, terms
+
+
 @dataclass(frozen=True)
 class ConflictLedger:
     """Total conflict broken down by product terms and partial conflicts."""
@@ -241,6 +263,7 @@ class ConflictLedger:
     partials: dict  # free-canonical empty intersection -> summed mass
     k: Fraction
     model: object = field(repr=False, compare=False)
+    nonempty: dict = field(repr=False, compare=False)  # the consensus without its conflict
 
     def partial(self, element):
         return self.partials.get(element, Fraction(0))
@@ -268,18 +291,20 @@ class ConflictLedger:
 
 
 def conflict_ledger(matrix, model=None):
-    """Every product of source focal elements whose intersection is empty."""
+    """Every product of source focal elements whose intersection is empty.
+
+    One :func:`walk_terms` pass, kept on the matrix per model.
+    """
     model = model or matrix.model
+    if model in matrix._ledgers:
+        return matrix._ledgers[model]
     if matrix.s < 2:
         raise ValueError("conflict needs at least two sources")
-    frame = model.frame
-    terms = []
+    nonempty, terms = walk_terms(model, focal_lists(matrix.sources))
     partials = {}
-    for factors, product, clauses in product_terms(focal_lists(matrix.sources)):
-        if not model.reduce(frame.element(clauses)).empty:
-            continue
-        inter = frame.element(clauses, empty=True)
-        terms.append(ConflictTerm(factors, product, inter))
-        partials[inter] = partials.get(inter, Fraction(0)) + product
-    k = sum(partials.values(), Fraction(0))
-    return ConflictLedger(tuple(terms), {e: partials[e] for e in sorted(partials)}, k, model)
+    for term in terms:
+        partials[term.intersection] = partials.get(term.intersection, Fraction(0)) + term.product
+    ledger = ConflictLedger(tuple(terms), {e: partials[e] for e in sorted(partials)},
+                            sum(partials.values(), Fraction(0)), model, nonempty)
+    matrix._ledgers[model] = ledger
+    return ledger

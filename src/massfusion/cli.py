@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from .bba import Bba, MassMatrix, validate_bba
 from .diagnostics import Diagnostics
 from .errors import BeliefFusionError, ScenarioError, TotalConflictError
-from .lattice import CLOSED, FREE, HYBRID, Model, SHAFER, Frame
+from .lattice import CLOSED, FREE, HYBRID, Model, SHAFER, Frame, shafer_as_hybrid
 from .registry import RULE_ORDER, RuleOptions, run_rule
 from .rules_core import conjunctive
 
@@ -90,6 +90,14 @@ def _object(doc, key, path):
     return value
 
 
+def _strings(doc, key, path):
+    """The list of strings under ``key`` (labels or element expressions), empty when absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"{path}: {key!r} must be a list of strings")
+    return value
+
+
 def _tables(doc, key, path):
     """The list of mass tables under ``key``, checked for shape."""
     tables = doc.get(key, [])
@@ -103,33 +111,31 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario must be a JSON object")
     try:
-        frame = Frame(doc["frame"])
+        if "frame" not in doc:
+            raise ScenarioError(f"{path}: missing field 'frame'")
+        frame = Frame(_strings(doc, "frame", path))
         mspec = _object(doc, "model", path)
         kind = mspec.get("kind", "shafer")
         if kind not in (FREE, SHAFER, HYBRID):
             raise ScenarioError(f"{path}: unknown model kind {kind!r}")
+        theta0 = mspec.get("theta0", False)
+        if not isinstance(theta0, bool):
+            raise ScenarioError(f"{path}: 'theta0' must be true or false")
         try:
             model = Model(
                 frame,
                 kind,
-                mspec.get("empty", ()),
+                _strings(mspec, "empty", path),
                 world=mspec.get("world", CLOSED),
-                theta0=bool(mspec.get("theta0", False)),
+                theta0=theta0,
             )
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
-        dynamic = doc.get("dynamic_empty", ())
+        dynamic = _strings(doc, "dynamic_empty", path)
         if dynamic:
-            base = [str(c) for c in model.constraints]
-            if model.kind == SHAFER:
-                frame_pairs = [
-                    f"{a}&{b}"
-                    for i, a in enumerate(frame.labels)
-                    for b in frame.labels[i + 1:]
-                ]
-                base = frame_pairs
+            base = shafer_as_hybrid(frame) if model.kind == SHAFER else model
             fusion_model = Model(
-                frame, HYBRID, tuple(base) + tuple(dynamic),
+                frame, HYBRID, base.constraints + tuple(dynamic),
                 world=model.world, theta0=model.theta0_enabled,
             )
         else:
@@ -149,7 +155,7 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
                 stream.append(validate_bba(Bba(model, table)))
             except BeliefFusionError as exc:
                 raise ScenarioError(f"{path}: stream entry {i + 1}: {exc}") from exc
-        rules = overrides.get("rules") or doc.get("rules") or list(RULE_ORDER)
+        rules = overrides.get("rules") or _strings(doc, "rules", path) or list(RULE_ORDER)
         for r in rules:
             if r not in RULE_ORDER:
                 raise ScenarioError(f"{path}: unknown rule {r!r}")

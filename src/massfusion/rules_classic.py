@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import add, fallback_chain, u_of
-from .bba import Bba, to_fraction
+from ._transfer import _ignorance_stages, add, fallback_chain
+from .bba import Bba, conflict_ledger, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
 from .rules_core import _finish, _fold, conjunctive
+from .rules_pcr import pcr1
 
 _K_ONE_TOL = Fraction(1, 10 ** 12)
 
@@ -100,21 +101,16 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     hypothesis is enabled), signalling that the problem has no solution.
     """
     model = model or matrix.model
-    frame = model.frame
-    raw = conjunctive(matrix, model)
-    nonempty, _, k = raw.reduced()
+    nonempty, _, k = conjunctive(matrix, model).reduced()
     out = dict(nonempty)
     if k:
-        for term in raw.ledger().terms:
+        for term in conflict_ledger(matrix, model).terms:
             factors = [e for e, _ in term.factors]
-            if all(model.reduce(e).empty for e in factors):
-                stages = [("disjunctive-form", u_of(model, factors)),
-                          ("total-ignorance", frame.total_ignorance())]
-            else:
-                stages = [("disjunctive-form", u_of(model, [term.intersection])),
-                          ("total-ignorance", frame.total_ignorance())]
-            fallback_chain(model, out, term.intersection, term.product, stages, diag)
-    if diag is not None and out.get(frame.empty_element()):
+            if not all(model.reduce(e).empty for e in factors):
+                factors = [term.intersection]
+            fallback_chain(model, out, term.intersection, term.product,
+                           _ignorance_stages(model, factors), diag)
+    if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")
     return _finish(model, out)
 
@@ -151,26 +147,20 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
     share aimed at elements that have meanwhile become empty is simply lost,
     so the result can sum below one.  That deficit is reported through the
     diagnostics, never silently renormalized.  The dynamic variant rescales
-    the coefficients over non-empty elements and then matches the first
-    proportional-conflict rule.
+    the coefficients over the non-empty columns, which is exactly the first
+    proportional-conflict rule, so it runs :func:`rules_pcr.pcr1`.
     """
+    if mode == DYNAMIC:
+        return pcr1(matrix, model, diag)
+    if mode != STATIC:
+        raise ValueError(f"unknown mode {mode!r}")
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
     cols = {e: c for e, c in matrix.column_sums(model).items()
             if not model.reduce(e).empty and c > 0}
     out = dict(nonempty)
     if k:
-        if mode == STATIC:
-            denom = Fraction(matrix.s)
-        elif mode == DYNAMIC:
-            denom = sum(cols.values(), Fraction(0))
-            if denom == 0:
-                fallback_chain(model, out, "total-conflict", k,
-                               [("disjunctive-form", u_of(model, list(matrix.column_sums(model))))],
-                               diag)
-                return _finish(model, out)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        denom = Fraction(matrix.s)
         for elem, c in cols.items():
             share = k * c / denom
             add(out, elem, share)

@@ -4,15 +4,15 @@ The conjunctive combination is folded pairwise on the free lattice, keeping
 every empty-intersection entry as a distinct canonical element.  Rules then
 view the result under a model, which merges equivalent non-empty entries
 and leaves the partial-conflict breakdown untouched.  A matrix keeps its
-consensus per model, so every rule run on one matrix shares one fold, one
-model view and at most one conflict ledger.
+consensus per model, so every rule run on one matrix shares one fold and
+one model view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bba import Bba, ConflictLedger, MassMatrix, conflict_ledger
+from .bba import Bba
 from .kernels import intersect_canon, union_canon
 
 
@@ -35,36 +35,35 @@ def _fold(fracs, combine):
 
 
 def _finish(model, out, exact=False):
-    """A rule's result: a float ``Bba``, or with ``exact`` the sorted rational masses."""
+    """A rule's result: a float ``Bba``, or with ``exact`` the sorted rational masses.
+
+    Keys the model identifies are merged exactly first, so each mass is
+    rounded once, whatever order the rule added its parts in.
+    """
+    merged = {}
+    for elem, mass in out.items():
+        key = model.reduce(elem)
+        merged[key] = merged.get(key, Fraction(0)) + mass
     if exact:
-        return {k: out[k] for k in sorted(out)}
-    return Bba(model, {k: float(v) for k, v in out.items()})
+        return {k: merged[k] for k in sorted(merged)}
+    return Bba(model, {k: float(v) for k, v in merged.items()})
 
 
 class RawConjunctive:
-    """Conjunctive consensus on the free lattice, with its conflict ledger.
+    """Conjunctive consensus on the free lattice.
 
     ``masses`` maps free-canonical clause tuples wrapped as elements to
     exact rational masses; empty-intersection entries are included, so the
     total is one.  ``reduced()`` gives the model view: merged non-empty
     masses, the per-element partial conflicts, and the total conflict.
-    ``sources`` are the assignments it was folded from, whose products the
-    ledger enumerates.
     """
 
-    __slots__ = ("sources", "model", "masses", "_ledger", "_reduced")
+    __slots__ = ("model", "masses", "_reduced")
 
-    def __init__(self, sources, model, masses):
-        self.sources = sources
+    def __init__(self, model, masses):
         self.model = model
         self.masses = masses
-        self._ledger = None
         self._reduced = None
-
-    def ledger(self) -> ConflictLedger:
-        if self._ledger is None:
-            self._ledger = conflict_ledger(MassMatrix(self.sources), self.model)
-        return self._ledger
 
     def reduced(self):
         """Return ``(nonempty, conflicts, k)`` under the model."""
@@ -102,7 +101,7 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
         frame = model.frame
         acc = _fold(matrix.fractions(), intersect_canon)
         masses = {frame.element(c): v for c, v in acc.items()}
-        raw = RawConjunctive(matrix.sources, model, {k: masses[k] for k in sorted(masses)})
+        raw = RawConjunctive(model, {k: masses[k] for k in sorted(masses)})
         matrix._consensus[model] = raw
     return raw
 

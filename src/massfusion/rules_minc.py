@@ -30,7 +30,7 @@ def ebr_reallocate(raw: RawConjunctive, model=None) -> RawConjunctive:
     nonempty, conflicts, _ = raw.reduced()
     merged = dict(nonempty)
     merged.update(conflicts)
-    return RawConjunctive(raw.sources, model, {k: merged[k] for k in sorted(merged)})
+    return RawConjunctive(model, {k: merged[k] for k in sorted(merged)})
 
 
 def _destinations_a(model, components):

@@ -5,9 +5,10 @@ split the conflicting mass and which weights drive the split: the total
 conflict over all columns (PCR1), over the columns involved in the conflict
 (PCR2), each partial conflict over its components' columns (PCR3) or their
 conjunctive masses (PCR4), and finally each individual product term over
-the masses composing it (PCR5).  Every rule shares one degenerate-case
-chain: proportional weights, then column sums, then the disjunctive form,
-then the total ignorance, then θ0 or ∅.
+the masses composing it (PCR5, read from the matrix's conflict ledger).
+Every rule shares one degenerate-case chain: proportional weights, then
+column sums, then the disjunctive form, then the total ignorance, then θ0
+or ∅.
 
 Arithmetic is exact rational throughout, which makes the results
 independent of source order and lets the convergence behaviour of PCR5 be
@@ -18,14 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import add, components, fallback_chain, proportional, u_of
-from .bba import Bba, MassMatrix, focal_lists, product_terms
+from ._transfer import _ignorance_stages, components, fallback_chain, proportional, u_of
+from .bba import Bba, MassMatrix, conflict_ledger, focal_lists, walk_terms
 from .rules_core import _finish, conjunctive
-
-
-def _ignorance_stages(model, elements):
-    return [("disjunctive-form", u_of(model, elements)),
-            ("total-ignorance", model.frame.total_ignorance())]
 
 
 def pcr1(matrix, model=None, diag=None) -> Bba:
@@ -52,12 +48,11 @@ def pcr1(matrix, model=None, diag=None) -> Bba:
 def pcr2(matrix, model=None, diag=None) -> Bba:
     """PCR2: total conflict over the columns involved in the conflict."""
     model = model or matrix.model
-    raw = conjunctive(matrix, model)
-    nonempty, _, k = raw.reduced()
+    nonempty, _, k = conjunctive(matrix, model).reduced()
     out = dict(nonempty)
     if k:
         columns = matrix.column_sums(model)
-        involved = sorted(raw.ledger().involved)
+        involved = sorted(conflict_ledger(matrix, model).involved)
         reduced = dict.fromkeys(model.reduce(e) for e in involved)
         cols = [(e, columns.get(e, Fraction(0))) for e in reduced]
         cols = [(e, c) for e, c in cols if not e.empty and c > 0]
@@ -117,54 +112,34 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
 # --- PCR5 ------------------------------------------------------------------
 
 
-def _term_destinations(model, factor_groups, conflict_clauses):
-    """Destinations of one conflicting product.
+def _transfer_term(model, out, term, diag):
+    """Split one conflicting product term over the factors behind its conflict.
 
-    ``factor_groups`` maps each distinct factor element to the product of
-    the masses it received in the term.  A factor deserves a share when it
-    is non-empty under the model and at least one of its clauses survives
-    in the canonical form of the conflict; factors whose clauses are all
-    absorbed (total or partial ignorances covering the rest of the term)
-    contributed nothing to the emptiness and receive nothing.
+    Factors pointing at one element pool their masses multiplicatively.  A
+    factor deserves a share when it is non-empty under the model and at
+    least one of its clauses survives in the canonical form of the
+    conflict; factors whose clauses are all absorbed (total or partial
+    ignorances covering the rest of the term) contributed nothing to the
+    emptiness and receive nothing.
     """
-    zset = set(conflict_clauses)
-    dests = []
-    for elem, weight in factor_groups.items():
-        if model.reduce(elem).empty:
-            continue
-        if any(c in zset for c in elem.clauses):
-            dests.append((elem, weight))
-    return dests
-
-
-def _transfer_term(model, out, factors, product, conflict, diag):
     groups = {}
-    for elem, mass in factors:
+    for elem, mass in term.factors:
         groups[elem] = groups.get(elem, Fraction(1)) * mass
-    dests = _term_destinations(model, groups, conflict.clauses)
+    zset = set(term.intersection.clauses)
+    dests = [(elem, weight) for elem, weight in groups.items()
+             if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
     if dests:
-        proportional(out, factors, product, dests, diag)
+        proportional(out, term.factors, term.product, dests, diag)
     else:
-        fallback_chain(model, out, factors, product,
-                       _ignorance_stages(model, [e for e, _ in factors]), diag)
+        fallback_chain(model, out, term.factors, term.product,
+                       _ignorance_stages(model, list(groups)), diag)
 
 
-def _pcr5(model, focal_lists, diag):
-    """PCR5 over every product term of the given per-source focal lists.
-
-    Non-empty products keep their mass on their intersection; each
-    conflicting product is split within itself by :func:`_transfer_term`.
-    Returns the rational masses.
-    """
-    frame = model.frame
-    out = {}
-    for factors, product, clauses in product_terms(focal_lists):
-        red = model.reduce(frame.element(clauses))
-        if not red.empty:
-            add(out, red, product)
-        else:
-            conflict = frame.element(clauses, empty=True)
-            _transfer_term(model, out, factors, product, conflict, diag)
+def _pcr5(model, nonempty, terms, diag):
+    """Rational PCR5 masses: the non-empty products plus every term, split within itself."""
+    out = dict(nonempty)
+    for term in terms:
+        _transfer_term(model, out, term, diag)
     return out
 
 
@@ -178,7 +153,8 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     Same as :func:`pcr5_multi` on the two sources.
     """
     model = model or m1.model
-    return _finish(model, _pcr5(model, focal_lists((m1, m2)), diag), exact)
+    ledger = conflict_ledger(MassMatrix((m1, m2)), model)
+    return _finish(model, _pcr5(model, ledger.nonempty, ledger.terms, diag), exact)
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
@@ -186,11 +162,13 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
 
     Each non-zero conflicting product is redistributed within itself: the
     factors pointing at one element pool their masses multiplicatively and
-    the term splits over those pooled weights.  Products are enumerated
-    once, depth-first, with shared prefix intersections.
+    the term splits over those pooled weights.  The non-empty products and
+    the conflicting terms come from the matrix's conflict ledger, so PCR5
+    needs no conjunctive fold of its own.
     """
     model = model or matrix.model
-    return _finish(model, _pcr5(model, focal_lists(matrix.sources), diag))
+    ledger = conflict_ledger(matrix, model)
+    return _finish(model, _pcr5(model, ledger.nonempty, ledger.terms, diag))
 
 
 def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
@@ -198,9 +176,9 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
 
     The first s-1 sources are combined conjunctively (conflict entries kept
     as lattice elements) and the stored result is then combined with the
-    last source using the two-source PCR5 logic.  The order used is
-    reported through the diagnostics; for two sources this is the exact
-    pair rule.
+    last source using the two-source PCR5 logic, over the product terms of
+    one :func:`bba.walk_terms` pass.  The order used is reported through
+    the diagnostics; for two sources this is the exact pair rule.
     """
     model = model or matrix.model
     if order is None:
@@ -213,5 +191,5 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]
     head = conjunctive(MassMatrix(sources[:-1]), model)
-    pair = [list(head.masses.items()), *focal_lists(sources[-1:])]
-    return _finish(model, _pcr5(model, pair, diag))
+    nonempty, terms = walk_terms(model, [list(head.masses.items()), *focal_lists(sources[-1:])])
+    return _finish(model, _pcr5(model, nonempty, terms, diag))

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here except :func:`conflict_ledger_reference` works on a
-different representation (frozen sets of Venn regions / label sets) with its
-own tiny parser, deliberately sharing no code with the package under test.
-The ledger reference reuses the package's lattice (canonical intersection
-and model reduction, checked against the region oracle elsewhere) and
-checks only the term enumeration: a flat product in place of the
-package's depth-first walk.
+Everything here except :func:`conflict_ledger_reference` and
+:func:`pcr5_enumeration_reference` works on a different representation
+(frozen sets of Venn regions / label sets) with its own tiny parser,
+deliberately sharing no code with the package under test.  Those two reuse
+the package's lattice (canonical intersection and model reduction, checked
+against the region oracle elsewhere) and check only the term enumeration: a
+flat product in place of the package's depth-first walk and its conflict
+ledger.
 """
 
 from fractions import Fraction
@@ -197,3 +198,34 @@ def conflict_ledger_reference(matrix, model=None):
         partials[inter] = partials.get(inter, Fraction(0)) + prod
     k = sum((prod for _, prod, _ in terms), Fraction(0))
     return terms, partials, k, frozenset(involved)
+
+
+def pcr5_enumeration_reference(model, focal_lists, diag=None):
+    """PCR5 streamed over the flat product of the given focal lists.
+
+    ``focal_lists`` holds one sorted list of ``(element, exact mass)``
+    pairs per source.  Each product term is handled as soon as it is
+    formed: a non-empty one adds its product to its reduced intersection,
+    a conflicting one is split at once by the package's per-term transfer.
+    Returns the rational masses; records and fallbacks go to ``diag`` in
+    product order.
+    """
+    from massfusion.bba import ConflictTerm
+    from massfusion.kernels import intersect_canon
+    from massfusion.rules_pcr import _transfer_term
+
+    frame = model.frame
+    out = {}
+    for combo in product(*focal_lists):
+        clauses = combo[0][0].clauses
+        prod = combo[0][1]
+        for elem, mass in combo[1:]:
+            clauses = intersect_canon(clauses, elem.clauses)
+            prod *= mass
+        red = model.reduce(frame.element(clauses))
+        if not red.empty:
+            out[red] = out.get(red, Fraction(0)) + prod
+        else:
+            term = ConflictTerm(tuple(combo), prod, frame.element(clauses, empty=True))
+            _transfer_term(model, out, term, diag)
+    return {k: out[k] for k in sorted(out)}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -229,8 +230,16 @@ def exit_code(argv):
     (ZADEH, ["--order", "x"], "--order"),
     (ZADEH, ["--order", "1,1"], "order"),
     (ZADEH, ["--precision", "-1"], "--precision"),
+    (dict(ZADEH, frame=5), [], "frame"),
+    (dict(ZADEH, frame=[1, 2]), [], "frame"),
+    (dict(ZADEH, model={"kind": "hybrid", "empty": 5}), [], "empty"),
+    (dict(ZADEH, dynamic_empty=5), [], "dynamic_empty"),
+    (dict(ZADEH, model={"kind": "shafer", "theta0": "no"}), [], "theta0"),
+    (dict(ZADEH, rules=5), [], "rules"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
-        "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision"])
+        "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
+        "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
+        "rules-number"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err
@@ -242,3 +251,16 @@ def test_compare_leaves_the_scenario_rules_alone(tmp_path):
     report = compare_rules(scenario)
     assert scenario.rules == ["pcr5"]
     assert len(report.runs) > 1
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_shipped_scenarios_run(path, capsys):
+    assert main([str(path), "--all", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["rules"]
+    assert main([str(path), "--compare"]) == 0
+    if "stream" in json.loads(path.read_text(encoding="utf-8")):
+        assert main([str(path), "--sequential"]) == 0
+    capsys.readouterr()

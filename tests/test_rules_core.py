@@ -15,12 +15,15 @@ from massfusion import (
     RULES,
     RuleOptions,
     SHAFER,
+    conflict_ledger,
     conjunctive,
     disjunctive,
+    pcr5_multi,
+    pcr5_pair,
     run_rule,
     vacuous_bba,
 )
-from massfusion import rules_core
+from massfusion import bba, rules_core
 
 from massfusion import to_fraction
 from massfusion.kernels import intersect_canon
@@ -159,8 +162,8 @@ def hybrid_triple():
 def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
     m = hybrid_triple()
     calls = []
-    original = rules_core.conflict_ledger
-    monkeypatch.setattr(rules_core, "conflict_ledger",
+    original = bba.walk_terms  # called once per ledger built
+    monkeypatch.setattr(bba, "walk_terms",
                         lambda *args: calls.append(args) or original(*args))
     raw = conjunctive(m)
     for name in RULES:
@@ -171,6 +174,25 @@ def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
     other = Model(m.model.frame, FREE)
     assert conjunctive(m, other) is not raw
     assert conjunctive(m, other).reduced()[2] == 0
+
+
+def test_a_matrix_keeps_one_ledger_per_model():
+    m = hybrid_triple()
+    ledger = conflict_ledger(m)
+    assert conflict_ledger(m) is ledger and conflict_ledger(m, m.model) is ledger
+    assert ledger.nonempty == conjunctive(m).reduced()[0]
+    assert conflict_ledger(m, Model(m.model.frame, FREE)) is not ledger
+
+
+def test_pcr5_on_a_fresh_matrix_does_not_fold(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("PCR5 folded the conjunctive consensus")
+
+    monkeypatch.setattr(rules_core, "_fold", no_fold)
+    m = hybrid_triple()
+    assert pcr5_multi(m).total() == pytest.approx(1.0, abs=1e-12)
+    assert pcr5_pair(m[0], m[2]).total() == pytest.approx(1.0, abs=1e-12)
+    assert run_rule("pcr5", hybrid_triple()).total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rules_leave_no_reference_cycles():

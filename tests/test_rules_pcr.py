@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massfusion import (
     Bba,
@@ -22,13 +24,15 @@ from massfusion import (
     pcr5_approximate,
     pcr5_multi,
     pcr5_pair,
+    shafer_as_hybrid,
     vacuous_bba,
     validate_bba,
     wao,
 )
+from massfusion import rules_pcr
 
 from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
-from oracles import pcr5_reference
+from oracles import pcr5_enumeration_reference, pcr5_reference
 
 ZADEH = ({"A": 0.9, "C": 0.1}, {"B": 0.9, "C": 0.1})
 PAIR_82 = ({"A": 0.7, "B": 0.1, "A|B": 0.2}, {"A": 0.5, "B": 0.4, "A|B": 0.1})
@@ -72,6 +76,29 @@ def test_pcr1_equals_dynamic_wao(rng, frame_abc, shafer_abc):
     learned_b_empty = Model(frame_abc, HYBRID, ["A&B", "A&C", "B&C", "B"])
     m = matrix(shafer_abc, {"A": 0.3, "B": 0.4, "C": 0.3}, {"A": 0.5, "B": 0.1, "C": 0.4})
     assert pcr1(m, model=learned_b_empty).masses == wao(m, "dynamic", model=learned_b_empty).masses
+
+
+@st.composite
+def late_emptiness(draw):
+    """An exact matrix and a fusion model in which some labels have become empty."""
+    m = draw(exact_matrices())
+    frame = m.model.frame
+    base = shafer_as_hybrid(frame).constraints if m.model.kind == SHAFER else m.model.constraints
+    dead = draw(st.lists(st.sampled_from(frame.labels), min_size=1, unique=True))
+    fusion = Model(frame, HYBRID, base + tuple(frame.singleton(label) for label in dead),
+                   theta0=draw(st.booleans()))
+    return m, fusion
+
+
+@given(late_emptiness())
+@settings(max_examples=150, deadline=None)
+def test_dynamic_wao_is_pcr1_under_late_emptiness(case):
+    m, fusion = case
+    runs = []
+    for rule in (lambda d: pcr1(m, fusion, d), lambda d: wao(m, "dynamic", fusion, d)):
+        diag = Diagnostics()
+        runs.append((rule(diag).masses, diag))
+    assert runs[0] == runs[1]
 
 
 def test_pcr1_equals_static_wao_on_ordinary_inputs(rng):
@@ -292,6 +319,39 @@ def test_pcr5_entry_points_agree_exactly_on_two_sources(m):
         result = rule(diag)
         runs.append((result.masses, diag.records, diag.fallbacks))
     assert runs[0] == runs[1] == runs[2]
+
+
+@given(exact_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pcr5_entry_points_match_the_enumeration_reference(m, data):
+    order = data.draw(st.permutations(range(1, m.s + 1)))
+    ordered = [m[i - 1] for i in order]
+    head = conjunctive(MassMatrix(ordered[:-1]))
+    cases = [(lambda d: pcr5_multi(m, diag=d),
+              [sorted(src.fractions().items()) for src in m.sources]),
+             (lambda d: pcr5_approximate(m, order=order, diag=d),
+              [list(head.masses.items()), sorted(ordered[-1].fractions().items())])]
+    # the entry points' rational masses, before the float conversion
+    with patch.object(rules_pcr, "_finish", lambda model, out, exact=False: out):
+        for rule, focal_lists in cases:
+            got, want = Diagnostics(), Diagnostics()
+            assert rule(got) == pcr5_enumeration_reference(m.model, focal_lists, want)
+            assert (got.records, got.fallbacks) == (want.records, want.fallbacks)
+
+
+def test_pcr5_under_late_emptiness_rounds_each_mass_once():
+    # every destination collapses onto D under the fusion model; summing
+    # those parts as floats gave 0.9999999999999999 in one source order
+    frame = Frame(["A", "B", "C", "D"])
+    free = Model(frame, FREE)
+    tables = ({"(A|B|C)&(B|D)": Fraction(43, 78), "B|D": Fraction(35, 78)},
+              {"A": Fraction(1)},
+              {"A&B": Fraction(7, 97), "A&(C|D)": Fraction(43, 97), "(A|D)&(B|C|D)": Fraction(47, 97)},
+              {"B&(A|C|D)": Fraction(35, 39), "(A|D)&(B|D)": Fraction(2, 39), "(B|D)&(C|D)": Fraction(2, 39)})
+    sources = [Bba(free, t) for t in tables]
+    late = Model(frame, HYBRID, ["A", "B", "C"])
+    for ordered in (sources, sources[::-1]):
+        assert pcr5_multi(MassMatrix(ordered), late).masses == {late.canonical("D"): 1.0}
 
 
 def test_pcr5_multi_three_sources_matches_reference(rng):
