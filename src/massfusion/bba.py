@@ -1,8 +1,12 @@
-"""Belief assignments, the mass matrix, the product-term walk and the conflict ledger.
+"""Belief assignments, the mass matrix and the two passes over its products.
 
 Rule arithmetic runs on exact rationals: every float mass is converted once
 through :func:`to_fraction`, which snaps to a denominator of at most 10**6
 when that loses nothing, so that summation order can never perturb results.
+
+The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
+(:func:`walk_terms`) only lists the conflicting product terms, for the
+:func:`conflict_ledger`.  Each runs at most once per matrix and model.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ class Bba:
     Maps canonical elements to masses.  Keys may be given as expression
     strings or :class:`CanonicalElement` values; they are reduced under the
     model, merged when equivalent, and masses below ``1e-12`` are pruned.
-    Construction rejects negative, non-numeric and non-finite masses;
+    Construction rejects negative, non-numeric (booleans and strings
+    included) and non-finite masses;
     :func:`validate_bba` additionally enforces normalization and the
     empty-mass discipline.
     """
@@ -59,6 +64,8 @@ class Bba:
                 raise TypeError(f"bad mass key {key!r}")
             if not isinstance(value, Fraction):
                 try:
+                    if isinstance(value, (bool, str)):  # float() would take True and "0.5"
+                        raise TypeError
                     value = float(value)
                 except (TypeError, ValueError):
                     raise BeliefFusionError(f"mass {value!r} on {elem} is not a number") from None
@@ -153,9 +160,8 @@ class MassMatrix:
                 raise ValueError("all sources must share one frame and model")
         self.sources = sources
         self.model = model
-        self._columns = None
-        self._consensus = {}  # model -> RawConjunctive, filled by rules_core.conjunctive
-        self._ledgers = {}  # model -> ConflictLedger, filled by conflict_ledger
+        # per model: column sums, RawConjunctive, ConflictLedger, shared by every rule
+        self._columns, self._consensus, self._ledgers = {}, {}, {}
 
     @property
     def s(self):
@@ -174,16 +180,15 @@ class MassMatrix:
         return tuple(src.fractions() for src in self.sources)
 
     def column_sums(self, model=None):
-        """Per-element sums of the source masses, keyed under ``model``.
+        """Per-element sums of the source masses, keyed under ``model``, computed once per model.
 
         Keys are re-reduced when a different model is supplied (dynamic
         fusion), merging columns that the new constraints identify.
         """
-        if model is None or model == self.model:
-            if self._columns is None:
-                self._columns = self._column_sums(self.model)
-            return self._columns
-        return self._column_sums(model)
+        model = model or self.model
+        if model not in self._columns:
+            self._columns[model] = self._column_sums(model)
+        return self._columns[model]
 
     def _column_sums(self, model):
         cols = {}
@@ -200,33 +205,83 @@ def column_sum(matrix, element, model=None):
     return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
 
 
+def _fold(fracs, combine):
+    """Fold the sources' exact masses left to right, product by product.
+
+    ``combine(a, b)`` maps the clause tuples of two factors to the clause
+    tuple that receives their product.
+    """
+    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
+    for src in fracs[1:]:
+        out = {}
+        for ca, va in acc.items():
+            for cb, vb in src.items():
+                key = combine(ca, cb.clauses)
+                prev = out.get(key)
+                out[key] = va * vb if prev is None else prev + va * vb
+        acc = out
+    return acc
+
+
+class RawConjunctive:
+    """Conjunctive consensus on the free lattice.
+
+    ``masses`` maps free-canonical clause tuples wrapped as elements to
+    exact rational masses; empty-intersection entries are included, so the
+    total is one.  ``reduced()`` gives the model view: merged non-empty
+    masses, the per-element partial conflicts, and the total conflict.
+    """
+
+    __slots__ = ("model", "masses", "_reduced")
+
+    def __init__(self, model, masses):
+        self.model = model
+        self.masses = masses
+        self._reduced = None
+
+    def reduced(self):
+        """Return ``(nonempty, conflicts, k)`` under the model."""
+        if self._reduced is None:
+            nonempty, conflicts = {}, {}
+            for elem, mass in self.masses.items():
+                red = self.model.reduce(elem)
+                if red.empty:
+                    key = self.model.frame.element(elem.clauses, empty=True)
+                    conflicts[key] = conflicts.get(key, Fraction(0)) + mass
+                else:
+                    nonempty[red] = nonempty.get(red, Fraction(0)) + mass
+            k = sum(conflicts.values(), Fraction(0))
+            self._reduced = (
+                {e: nonempty[e] for e in sorted(nonempty)},
+                {e: conflicts[e] for e in sorted(conflicts)},
+                k,
+            )
+        return self._reduced
+
+    def total(self):
+        return sum(self.masses.values(), Fraction(0))
+
+
+def conjunctive(matrix, model=None) -> RawConjunctive:
+    """Conjunctive consensus of all sources, computed once per matrix and model.
+
+    Folds pairwise over canonical intermediate results, which is exact
+    because intersection on the free lattice is associative.  Under a free
+    model nothing is empty and the result is itself a proper assignment.
+    """
+    model = model or matrix.model
+    raw = matrix._consensus.get(model)
+    if raw is None:
+        frame = model.frame
+        acc = _fold(matrix.fractions(), intersect_canon)
+        masses = {frame.element(c): v for c, v in acc.items()}
+        raw = matrix._consensus[model] = RawConjunctive(model, {k: masses[k] for k in sorted(masses)})
+    return raw
+
+
 def focal_lists(sources):
     """Each source's (element, exact mass) pairs in element order."""
     return [sorted(src.fractions().items()) for src in sources]
-
-
-def product_terms(focal_lists):
-    """Stream every product of one focal element per source.
-
-    Yields ``(factors, product, clauses)``: the tuple of ``(element, mass)``
-    factors, the product of their masses, and the free canonical form of
-    their intersection.  Terms come in lexicographic factor order, and the
-    walk is depth-first, so each prefix intersection and product is
-    computed once and shared by every term that extends it.
-    """
-    return _extend(focal_lists, (), Fraction(1), None)
-
-
-def _extend(focal_lists, factors, product, clauses):
-    depth = len(factors)
-    for item in focal_lists[depth]:
-        elem, mass = item
-        here = elem.clauses if clauses is None else intersect_canon(clauses, elem.clauses)
-        term = (factors + (item,), product * mass, here)
-        if depth + 1 == len(focal_lists):
-            yield term
-        else:
-            yield from _extend(focal_lists, *term)
 
 
 @dataclass(frozen=True)
@@ -239,20 +294,29 @@ class ConflictTerm:
 
 
 def walk_terms(model, focal_lists):
-    """One pass over the product terms: ``(nonempty, terms)``.
+    """Every product of one focal element per source that is empty under ``model``.
 
-    ``nonempty`` sums the non-empty products on their reduced intersections;
-    ``terms`` lists the conflicting ones as :class:`ConflictTerm` values.
+    Returns the :class:`ConflictTerm` values in lexicographic factor order.
+    The walk is depth-first, so each prefix intersection and prefix product
+    is computed once and shared by every term that extends it; at the last
+    source a product is formed only for a conflicting leaf.
     """
-    frame = model.frame
-    nonempty, terms = {}, []
-    for factors, product, clauses in product_terms(focal_lists):
-        red = model.reduce(frame.element(clauses))
-        if red.empty:
-            terms.append(ConflictTerm(factors, product, frame.element(clauses, empty=True)))
-        else:
-            nonempty[red] = nonempty.get(red, Fraction(0)) + product
-    return {e: nonempty[e] for e in sorted(nonempty)}, terms
+    terms = []
+    _walk(model, focal_lists, terms, (), Fraction(1), None)
+    return terms
+
+
+def _walk(model, focal_lists, terms, factors, product, clauses):
+    frame, depth = model.frame, len(factors)
+    last = depth + 1 == len(focal_lists)
+    for item in focal_lists[depth]:
+        elem, mass = item
+        here = elem.clauses if clauses is None else intersect_canon(clauses, elem.clauses)
+        if not last:
+            _walk(model, focal_lists, terms, factors + (item,), product * mass, here)
+        elif model.reduce(frame.element(here)).empty:
+            empty = frame.element(here, empty=True)
+            terms.append(ConflictTerm(factors + (item,), product * mass, empty))
 
 
 @dataclass(frozen=True)
@@ -263,7 +327,6 @@ class ConflictLedger:
     partials: dict  # free-canonical empty intersection -> summed mass
     k: Fraction
     model: object = field(repr=False, compare=False)
-    nonempty: dict = field(repr=False, compare=False)  # the consensus without its conflict
 
     def partial(self, element):
         return self.partials.get(element, Fraction(0))
@@ -293,18 +356,15 @@ class ConflictLedger:
 def conflict_ledger(matrix, model=None):
     """Every product of source focal elements whose intersection is empty.
 
-    One :func:`walk_terms` pass, kept on the matrix per model.
+    The partial conflicts and ``k`` are the matrix's conjunctive consensus;
+    the terms come from one :func:`walk_terms` pass, made only when there
+    is conflict.  The ledger is kept on the matrix per model.
     """
     model = model or matrix.model
-    if model in matrix._ledgers:
-        return matrix._ledgers[model]
-    if matrix.s < 2:
-        raise ValueError("conflict needs at least two sources")
-    nonempty, terms = walk_terms(model, focal_lists(matrix.sources))
-    partials = {}
-    for term in terms:
-        partials[term.intersection] = partials.get(term.intersection, Fraction(0)) + term.product
-    ledger = ConflictLedger(tuple(terms), {e: partials[e] for e in sorted(partials)},
-                            sum(partials.values(), Fraction(0)), model, nonempty)
-    matrix._ledgers[model] = ledger
-    return ledger
+    if model not in matrix._ledgers:
+        if matrix.s < 2:
+            raise ValueError("conflict needs at least two sources")
+        _, partials, k = conjunctive(matrix, model).reduced()
+        terms = walk_terms(model, focal_lists(matrix.sources)) if k else ()
+        matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k, model)
+    return matrix._ledgers[model]

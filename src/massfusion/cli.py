@@ -163,8 +163,8 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
         ospec.update({k: v for k, v in overrides.items() if k != "rules" and v is not None})
         order = ospec.get("order")
         n = len(sources)
-        if order and not (isinstance(order, list) and all(isinstance(i, int) for i in order)
-                          and sorted(order) == list(range(1, n + 1))):
+        if order is not None and not (isinstance(order, list) and all(type(i) is int for i in order)
+                                      and sorted(order) == list(range(1, n + 1))):
             raise ScenarioError(f"{path}: order must be a permutation of 1..{n}")
         options = RuleOptions(
             minc_version=ospec.get("minc_version", "a"),

@@ -49,8 +49,3 @@ class Diagnostics:
     def fallback(self, source, stage, destination, amount):
         self.fallbacks.append(FallbackEvent(source, stage, destination, amount))
 
-    def transfers_from(self, source):
-        out = [r for r in self.records if r.source == source]
-        out += [f for f in self.fallbacks if f.source == source]
-        return out
-

@@ -5,7 +5,8 @@ split the conflicting mass and which weights drive the split: the total
 conflict over all columns (PCR1), over the columns involved in the conflict
 (PCR2), each partial conflict over its components' columns (PCR3) or their
 conjunctive masses (PCR4), and finally each individual product term over
-the masses composing it (PCR5, read from the matrix's conflict ledger).
+the masses composing it (PCR5: the consensus's non-empty masses plus the
+conflicting terms of the matrix's conflict ledger).
 Every rule shares one degenerate-case chain: proportional weights, then
 column sums, then the disjunctive form, then the total ignorance, then θ0
 or ∅.
@@ -135,9 +136,9 @@ def _transfer_term(model, out, term, diag):
                        _ignorance_stages(model, list(groups)), diag)
 
 
-def _pcr5(model, nonempty, terms, diag):
-    """Rational PCR5 masses: the non-empty products plus every term, split within itself."""
-    out = dict(nonempty)
+def _pcr5(matrix, model, terms, diag):
+    """Rational PCR5 masses: the consensus's non-empty masses plus every term, split within itself."""
+    out = dict(conjunctive(matrix, model).reduced()[0])
     for term in terms:
         _transfer_term(model, out, term, diag)
     return out
@@ -153,8 +154,8 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     Same as :func:`pcr5_multi` on the two sources.
     """
     model = model or m1.model
-    ledger = conflict_ledger(MassMatrix((m1, m2)), model)
-    return _finish(model, _pcr5(model, ledger.nonempty, ledger.terms, diag), exact)
+    matrix = MassMatrix((m1, m2))
+    return _finish(model, _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag), exact)
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
@@ -162,13 +163,12 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
 
     Each non-zero conflicting product is redistributed within itself: the
     factors pointing at one element pool their masses multiplicatively and
-    the term splits over those pooled weights.  The non-empty products and
-    the conflicting terms come from the matrix's conflict ledger, so PCR5
-    needs no conjunctive fold of its own.
+    the term splits over those pooled weights.  The non-empty products come
+    from the matrix's conjunctive consensus and the conflicting terms from
+    its conflict ledger, both shared with the other rules on the matrix.
     """
     model = model or matrix.model
-    ledger = conflict_ledger(matrix, model)
-    return _finish(model, _pcr5(model, ledger.nonempty, ledger.terms, diag))
+    return _finish(model, _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag))
 
 
 def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
@@ -176,9 +176,11 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
 
     The first s-1 sources are combined conjunctively (conflict entries kept
     as lattice elements) and the stored result is then combined with the
-    last source using the two-source PCR5 logic, over the product terms of
-    one :func:`bba.walk_terms` pass.  The order used is reported through
-    the diagnostics; for two sources this is the exact pair rule.
+    last source using the two-source PCR5 logic, over the conflicting terms
+    of one :func:`bba.walk_terms` pass.  The non-empty part is the whole
+    matrix's consensus, which is exact by associativity.  The order used is
+    reported through the diagnostics; for two sources this is the exact
+    pair rule.
     """
     model = model or matrix.model
     if order is None:
@@ -191,5 +193,5 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]
     head = conjunctive(MassMatrix(sources[:-1]), model)
-    nonempty, terms = walk_terms(model, [list(head.masses.items()), *focal_lists(sources[-1:])])
-    return _finish(model, _pcr5(model, nonempty, terms, diag))
+    terms = walk_terms(model, [list(head.masses.items()), *focal_lists(sources[-1:])])
+    return _finish(model, _pcr5(matrix, model, terms, diag))

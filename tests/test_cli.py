@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from massfusion import MassMatrix
 from massfusion.cli import compare_rules, load_scenario, main, sequential_fusion
 
 ZADEH = {
@@ -236,10 +237,14 @@ def exit_code(argv):
     (dict(ZADEH, dynamic_empty=5), [], "dynamic_empty"),
     (dict(ZADEH, model={"kind": "shafer", "theta0": "no"}), [], "theta0"),
     (dict(ZADEH, rules=5), [], "rules"),
+    (dict(ZADEH, sources=[{"A": True}, {"B": 0.9, "C": 0.1}]), [], "True"),
+    (dict(ZADEH, sources=[{"A": "0.5", "B": "0.5"}, {"B": 0.9, "C": 0.1}]), [], "0.5"),
+    (dict(ZADEH, options={"order": {}}), [], "order"),
+    (dict(ZADEH, options={"order": [True, 2]}), [], "order"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
-        "rules-number"])
+        "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err
@@ -264,3 +269,14 @@ def test_shipped_scenarios_run(path, capsys):
     if "stream" in json.loads(path.read_text(encoding="utf-8")):
         assert main([str(path), "--sequential"]) == 0
     capsys.readouterr()
+
+
+def test_column_sums_are_computed_once_per_matrix_and_model(monkeypatch, capsys):
+    calls = []
+    original = MassMatrix._column_sums
+    monkeypatch.setattr(MassMatrix, "_column_sums",
+                        lambda self, model: calls.append(model) or original(self, model))
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "dynamic_alibi.json"
+    assert main([str(path), "--all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -23,7 +23,7 @@ from massfusion import (
     run_rule,
     vacuous_bba,
 )
-from massfusion import bba, rules_core
+from massfusion import bba
 
 from massfusion import to_fraction
 from massfusion.kernels import intersect_canon
@@ -159,18 +159,27 @@ def hybrid_triple():
                   {"A": 0.2, "B": 0.2, "C": 0.6})
 
 
+def count_passes(monkeypatch):
+    """Record each consensus fold (by the sources it folds) and each ledger walk."""
+    folds, walks = [], []
+    fold, walk = bba._fold, bba.walk_terms
+    monkeypatch.setattr(bba, "_fold", lambda fracs, combine: folds.append(
+        tuple(map(id, fracs))) or fold(fracs, combine))
+    monkeypatch.setattr(bba, "walk_terms", lambda *args: walks.append(args) or walk(*args))
+    return folds, walks
+
+
 def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
+    folds, walks = count_passes(monkeypatch)
     m = hybrid_triple()
-    calls = []
-    original = bba.walk_terms  # called once per ledger built
-    monkeypatch.setattr(bba, "walk_terms",
-                        lambda *args: calls.append(args) or original(*args))
     raw = conjunctive(m)
     for name in RULES:
         for opts in VARIANTS:
             run_rule(name, m, options=opts, diag=Diagnostics())
     assert conjunctive(m) is raw and conjunctive(m, m.model) is raw
-    assert len(calls) == 1
+    # one fold of the matrix, plus one of the approximate PCR5's head (the first s-1 sources)
+    assert folds == [tuple(map(id, m.fractions())), tuple(map(id, m.fractions()[:2]))]
+    assert len(walks) == 1
     other = Model(m.model.frame, FREE)
     assert conjunctive(m, other) is not raw
     assert conjunctive(m, other).reduced()[2] == 0
@@ -180,19 +189,18 @@ def test_a_matrix_keeps_one_ledger_per_model():
     m = hybrid_triple()
     ledger = conflict_ledger(m)
     assert conflict_ledger(m) is ledger and conflict_ledger(m, m.model) is ledger
-    assert ledger.nonempty == conjunctive(m).reduced()[0]
+    _, partials, k = conjunctive(m).reduced()
+    assert ledger.partials == partials and ledger.k == k
     assert conflict_ledger(m, Model(m.model.frame, FREE)) is not ledger
 
 
-def test_pcr5_on_a_fresh_matrix_does_not_fold(monkeypatch):
-    def no_fold(*args):
-        raise AssertionError("PCR5 folded the conjunctive consensus")
-
-    monkeypatch.setattr(rules_core, "_fold", no_fold)
-    m = hybrid_triple()
+def test_pcr5_on_a_fresh_matrix_folds_once_and_walks_once(monkeypatch):
+    folds, walks = count_passes(monkeypatch)
+    m, other = hybrid_triple(), hybrid_triple()
     assert pcr5_multi(m).total() == pytest.approx(1.0, abs=1e-12)
     assert pcr5_pair(m[0], m[2]).total() == pytest.approx(1.0, abs=1e-12)
-    assert run_rule("pcr5", hybrid_triple()).total() == pytest.approx(1.0, abs=1e-12)
+    assert run_rule("pcr5", other).total() == pytest.approx(1.0, abs=1e-12)
+    assert len(folds) == len(set(folds)) == 3 and len(walks) == 3
 
 
 def test_rules_leave_no_reference_cycles():
