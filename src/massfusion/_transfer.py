@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .bba import accumulate
 
 
 def u_of(model, elements):
@@ -40,7 +40,7 @@ def terminal_element(model):
 
 def add(out, element, amount):
     if amount:
-        out[element] = out.get(element, Fraction(0)) + amount
+        accumulate(out, element, amount)
 
 
 def proportional(out, source, mass, weighted, diag=None):

@@ -3,6 +3,9 @@
 Rule arithmetic runs on exact rationals: every float mass is converted once
 through :func:`to_fraction`, which snaps to a denominator of at most 10**6
 when that loses nothing, so that summation order can never perturb results.
+The fold multiplies and adds integer numerators over a common denominator
+and builds one ``Fraction`` per entry at the end; results are the same
+rationals.
 
 The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
 (:func:`walk_terms`) only lists the conflicting product terms, for the
@@ -69,6 +72,8 @@ class Bba:
                     value = float(value)
                 except (TypeError, ValueError):
                     raise BeliefFusionError(f"mass {value!r} on {elem} is not a number") from None
+                except OverflowError:  # an int too large for a float
+                    raise BeliefFusionError(f"mass on {elem} is not finite") from None
                 if not math.isfinite(value):
                     raise BeliefFusionError(f"mass {value!r} on {elem} is not finite")
             if value < 0:
@@ -118,6 +123,12 @@ class Bba:
     def __repr__(self):
         inner = ", ".join(f"{k}: {float(v):.6f}" for k, v in self.masses.items())
         return f"Bba({{{inner}}})"
+
+
+def accumulate(sums, key, mass):
+    """Add ``mass`` to ``sums[key]``; a key's first mass is stored as it is, not added to a zero."""
+    prev = sums.get(key)
+    sums[key] = mass if prev is None else prev + mass
 
 
 def validate_bba(b):
@@ -194,8 +205,7 @@ class MassMatrix:
         cols = {}
         for src in self.sources:
             for elem, mass in src.fractions().items():
-                key = model.reduce(elem)
-                cols[key] = cols.get(key, Fraction(0)) + mass
+                accumulate(cols, model.reduce(elem), mass)
         return {k: cols[k] for k in sorted(cols)}
 
 
@@ -205,22 +215,33 @@ def column_sum(matrix, element, model=None):
     return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
 
 
+def _numerators(src):
+    """A source's masses as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in src.values()))
+    return [(elem.clauses, v.numerator * (den // v.denominator)) for elem, v in src.items()], den
+
+
 def _fold(fracs, combine):
     """Fold the sources' exact masses left to right, product by product.
 
     ``combine(a, b)`` maps the clause tuples of two factors to the clause
-    tuple that receives their product.
+    tuple that receives their product.  Each source is scaled to integer
+    numerators over its own common denominator, so the fold is integer
+    multiply-add; every entry becomes one ``Fraction`` over the product of
+    those denominators at the end, the same rational as a fold of fractions.
     """
-    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
+    pairs, den = _numerators(fracs[0])
+    acc = dict(pairs)
     for src in fracs[1:]:
+        pairs, d = _numerators(src)
         out = {}
         for ca, va in acc.items():
-            for cb, vb in src.items():
-                key = combine(ca, cb.clauses)
+            for cb, vb in pairs:
+                key = combine(ca, cb)
                 prev = out.get(key)
                 out[key] = va * vb if prev is None else prev + va * vb
-        acc = out
-    return acc
+        acc, den = out, den * d
+    return {key: Fraction(v, den) for key, v in acc.items()}
 
 
 class RawConjunctive:
@@ -246,10 +267,9 @@ class RawConjunctive:
             for elem, mass in self.masses.items():
                 red = self.model.reduce(elem)
                 if red.empty:
-                    key = self.model.frame.element(elem.clauses, empty=True)
-                    conflicts[key] = conflicts.get(key, Fraction(0)) + mass
+                    accumulate(conflicts, self.model.frame.element(elem.clauses, empty=True), mass)
                 else:
-                    nonempty[red] = nonempty.get(red, Fraction(0)) + mass
+                    accumulate(nonempty, red, mass)
             k = sum(conflicts.values(), Fraction(0))
             self._reduced = (
                 {e: nonempty[e] for e in sorted(nonempty)},

@@ -79,6 +79,8 @@ def load_scenario(path, overrides=None):
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, an integer of over 4300 digits, deep nesting
+        raise ScenarioError(f"{path}: {exc}") from exc
     return scenario_from_dict(doc, path=path, overrides=overrides)
 
 
@@ -330,8 +332,16 @@ def render_report(report, fmt="table", precision=6, timing=False):
 
 
 def _render_machine(report, precision, timing):
+    names = {}  # element -> its text, once per report: the same elements recur across rules
+
+    def name(e):
+        text = names.get(e)
+        if text is None:
+            text = names[e] = str(e)
+        return text
+
     def bba_dict(b):
-        return {str(e): round(v, 12) for e, v in b.items()}
+        return {name(e): round(v, 12) for e, v in b.items()}
 
     doc = {"scenario": report.scenario.path, "k": report.k, "rules": {}}
     for run in report.runs:
@@ -347,7 +357,7 @@ def _render_machine(report, precision, timing):
             entry["order"] = list(run.diag.order)
         if run.diag.fallbacks:
             entry["fallbacks"] = [
-                {"stage": f.stage, "destination": str(f.destination), "amount": float(f.amount)}
+                {"stage": f.stage, "destination": name(f.destination), "amount": float(f.amount)}
                 for f in run.diag.fallbacks
             ]
         if timing:

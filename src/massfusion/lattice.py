@@ -6,6 +6,13 @@ frame labels.  Two expressions denote the same lattice element exactly when
 they normalize to the same clause tuple.  A model (free / Shafer / hybrid
 with explicit constraints) decides which elements are empty and can rewrite
 an element to its simplest equivalent form.
+
+Hybrid models decide emptiness on the Venn diagram of the frame: with n
+labels in general position there are 2^n - 1 minimal regions, one per
+non-empty label set, and an element is the set of regions it covers, a
+bitmask (Smarandache's codification of the Venn-diagram parts).  One
+constant table per label count gives, for each clause mask, the regions the
+clause meets; both directions between clauses and regions read it.
 """
 
 from __future__ import annotations
@@ -279,6 +286,19 @@ def disjunctive_form(expr, frame):
 
 # --- models ---------------------------------------------------------------
 
+
+def _region_table(n):
+    """For each clause mask over ``n`` labels, the bitmask of the minimal regions it meets."""
+    rows = [0] * (1 << n)
+    for region in range(1, 1 << n):
+        for c in range(1, 1 << n):
+            if region & c:
+                rows[c] |= 1 << (region - 1)
+    return tuple(rows)
+
+
+_REGION_TABLES = {n: _region_table(n) for n in range(1, MAX_HYPER_LABELS + 1)}
+
 FREE = "free"
 SHAFER = "shafer"
 HYBRID = "hybrid"
@@ -299,7 +319,7 @@ class Model:
 
     __slots__ = (
         "frame", "kind", "constraints", "world", "theta0_enabled",
-        "_alive", "_reduce_cache", "_cellmask_cache",
+        "_alive", "_reduce_cache",
     )
 
     def __init__(self, frame, kind=SHAFER, constraints=(), world=CLOSED, theta0=False):
@@ -312,7 +332,6 @@ class Model:
         self.world = world
         self.theta0_enabled = bool(theta0)
         self._reduce_cache = {}
-        self._cellmask_cache = {}
         if kind == SHAFER:
             if constraints:
                 raise ValueError("a Shafer model takes no extra constraints")
@@ -332,8 +351,7 @@ class Model:
             killed = 0
             for e in self.constraints:
                 killed |= self._cellmask(e.clauses)
-            n_cells = (1 << ((1 << frame.n) - 1)) - 1
-            self._alive = n_cells & ~killed
+            self._alive = _REGION_TABLES[frame.n][-1] & ~killed
 
     def _free_element(self, spec):
         if isinstance(spec, CanonicalElement):
@@ -383,27 +401,25 @@ class Model:
         return frame.element(self._prime_clauses(cells))
 
     def _cellmask(self, clauses):
-        """Bitmask over the 2^n - 1 minimal regions covered by the element."""
-        hit = self._cellmask_cache.get(clauses)
-        if hit is not None:
-            return hit
-        n_labels = self.frame.n
-        mask = 0
-        for cell in range(1, 1 << n_labels):
-            for c in clauses:
-                if not cell & c:
-                    break
-            else:
-                mask |= 1 << (cell - 1)
-        self._cellmask_cache[clauses] = mask
+        """Bitmask of the minimal regions covered by the element: those every clause meets.
+
+        Region ``r`` (a non-empty label set) is bit ``r - 1``.  The element
+        is the AND of its clauses' rows of the region table.
+        """
+        table = _REGION_TABLES[self.frame.n]
+        mask = table[-1]
+        for c in clauses:
+            mask &= table[c]
         return mask
 
     def _prime_clauses(self, cellmask):
-        cells = [i + 1 for i in range((1 << self.frame.n) - 1) if cellmask >> i & 1]
-        minimal = [s for s in cells if not any(t != s and t & ~s == 0 for t in cells)]
-        full = self.frame.full_mask
-        hitting = [c for c in range(1, full + 1) if all(s & c for s in minimal)]
-        return absorb_masks(hitting)
+        """Reduced conjunctive form of a non-empty region set.
+
+        A clause is an implicate when it meets every region of the set; the
+        form is the antichain of the minimal implicates.
+        """
+        table = _REGION_TABLES[self.frame.n]
+        return absorb_masks([c for c in range(1, len(table)) if not cellmask & ~table[c]])
 
     def is_empty(self, element):
         return self.reduce(element).empty

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import _ignorance_stages, add, fallback_chain
-from .bba import Bba, conflict_ledger, to_fraction
+from .bba import Bba, accumulate, conflict_ledger, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
 from .rules_core import _finish, _fold, conjunctive
@@ -84,10 +84,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
-    out = {}
-    for clauses, mass in acc.items():
-        add(out, model.reduce(model.frame.element(clauses)), mass)
-    return _finish(model, out)
+    return _finish(model, {model.frame.element(c): v for c, v in acc.items()})
 
 
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
@@ -125,7 +122,7 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
     wnorm = {}
     for key, value in weights.items():
         elem = model.canonical(key) if isinstance(key, str) else model.reduce(key)
-        wnorm[elem] = wnorm.get(elem, Fraction(0)) + to_fraction(value)
+        accumulate(wnorm, elem, to_fraction(value))
     total = sum(wnorm.values(), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
         raise NotNormalizedError(float(total))

@@ -10,9 +10,7 @@ conflict ledger that reads it; it is re-exported here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .bba import Bba, RawConjunctive, _fold, conjunctive
+from .bba import Bba, RawConjunctive, _fold, accumulate, conjunctive
 from .kernels import union_canon
 
 
@@ -24,8 +22,7 @@ def _finish(model, out, exact=False):
     """
     merged = {}
     for elem, mass in out.items():
-        key = model.reduce(elem)
-        merged[key] = merged.get(key, Fraction(0)) + mass
+        accumulate(merged, model.reduce(elem), mass)
     if exact:
         return {k: merged[k] for k in sorted(merged)}
     return Bba(model, {k: float(v) for k, v in merged.items()})
@@ -38,9 +35,5 @@ def disjunctive(matrix, model=None) -> Bba:
     set never receives mass.
     """
     model = model or matrix.model
-    frame = model.frame
-    out = {}
-    for clauses, mass in _fold(matrix.fractions(), union_canon).items():
-        key = model.reduce(frame.element(clauses))
-        out[key] = out.get(key, Fraction(0)) + mass
-    return _finish(model, out)
+    acc = _fold(matrix.fractions(), union_canon)
+    return _finish(model, {model.frame.element(c): v for c, v in acc.items()})

@@ -1,13 +1,14 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here except :func:`conflict_ledger_reference` and
-:func:`pcr5_enumeration_reference` works on a different representation
-(frozen sets of Venn regions / label sets) with its own tiny parser,
-deliberately sharing no code with the package under test.  Those two reuse
-the package's lattice (canonical intersection and model reduction, checked
-against the region oracle elsewhere) and check only the term enumeration: a
-flat product in place of the package's depth-first walk and its conflict
-ledger.
+Everything here except :func:`conflict_ledger_reference`,
+:func:`pcr5_enumeration_reference` and :func:`fraction_fold_reference` works
+on a different representation (frozen sets of Venn regions / label sets)
+with its own tiny parser, deliberately sharing no code with the package
+under test.  The first two reuse the package's lattice (canonical
+intersection and model reduction, checked against the region oracle
+elsewhere) and check only the term enumeration: a flat product in place of
+the package's depth-first walk and its conflict ledger.  The fold reference
+takes the package's combine functions and checks only the arithmetic.
 """
 
 from fractions import Fraction
@@ -229,3 +230,23 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
             term = ConflictTerm(tuple(combo), prod, frame.element(clauses, empty=True))
             _transfer_term(model, out, term, diag)
     return {k: out[k] for k in sorted(out)}
+
+
+def fraction_fold_reference(fracs, combine):
+    """The sources' masses folded left to right in plain ``Fraction`` arithmetic.
+
+    Same contract as the package's fold: ``fracs`` holds one mapping of
+    elements to exact masses per source, ``combine(a, b)`` maps two clause
+    tuples to the clause tuple receiving their product, and the result maps
+    clause tuples to summed masses.  Every product and sum is a ``Fraction``
+    operation; no common denominator is taken.
+    """
+    acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
+    for src in fracs[1:]:
+        out = {}
+        for ca, va in acc.items():
+            for elem, vb in src.items():
+                key = combine(ca, elem.clauses)
+                out[key] = out.get(key, Fraction(0)) + va * vb
+        acc = out
+    return acc

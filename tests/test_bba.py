@@ -39,8 +39,9 @@ def test_validate_rejects_negative_mass(shafer_ab):
         Bba(shafer_ab, {"A": 1.2, "B": -0.2})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "heavy", None, [0.5], True, "0.5"],
-                         ids=["nan", "inf", "text", "null", "list", "boolean", "numeric-text"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "heavy", None, [0.5], True, "0.5", 10 ** 400],
+                         ids=["nan", "inf", "text", "null", "list", "boolean", "numeric-text",
+                              "huge-integer"])
 def test_construction_rejects_masses_that_are_not_finite_numbers(shafer_ab, value):
     with pytest.raises(BeliefFusionError, match="mass"):
         Bba(shafer_ab, {"A": value, "B": 0.5})

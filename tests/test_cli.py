@@ -1,7 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from massfusion import MassMatrix
 from massfusion.cli import compare_rules, load_scenario, main, sequential_fusion
@@ -67,6 +71,19 @@ def test_invalid_json_exits_2_with_position(tmp_path, capsys):
     path.write_text('{"frame": ["A",]', encoding="utf-8")
     assert main([str(path)]) == 2
     assert ":1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, needle", [
+    (b'{"frame": ["\xff"]}', "utf-8"),
+    (b'{"frame": ["A"], "sources": [{"A": 1' + b"0" * 5000 + b'}]}', "digits"),
+    (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+], ids=["bad-utf8", "integer-of-5001-digits", "deep-nesting"])
+def test_unreadable_json_exits_2_with_a_message(tmp_path, capsys, raw, needle):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(raw)
+    assert main([str(path), "--all"]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
 
 
 def test_unknown_rule_exits_2(tmp_path, capsys):
@@ -241,10 +258,12 @@ def exit_code(argv):
     (dict(ZADEH, sources=[{"A": "0.5", "B": "0.5"}, {"B": 0.9, "C": 0.1}]), [], "0.5"),
     (dict(ZADEH, options={"order": {}}), [], "order"),
     (dict(ZADEH, options={"order": [True, 2]}), [], "order"),
+    (dict(ZADEH, sources=[{"A": 10 ** 400}, {"B": 0.9, "C": 0.1}]), ["--pcr5", "approx"], "finite"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
-        "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans"])
+        "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans",
+        "huge-integer-mass"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err
@@ -280,3 +299,79 @@ def test_column_sums_are_computed_once_per_matrix_and_model(monkeypatch, capsys)
     assert main([str(path), "--all"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+# --- fuzzing main() ---------------------------------------------------------
+
+FUZZ_BASES = [
+    ZADEH,
+    TARGET_STREAM,
+    {"frame": ["A", "B", "C"], "model": {"kind": "hybrid", "empty": ["A&B"]},
+     "sources": [{"A": 0.5, "B|C": 0.3, "A|B|C": 0.2}, {"B": 0.6, "A&C": 0.1, "A|C": 0.3},
+                 {"A": 0.2, "B": 0.2, "C": 0.6}],
+     "options": {"pcr5": "approx", "order": [3, 1, 2]}},
+    {"frame": ["A", "B", "C"], "model": {"kind": "free", "theta0": True},
+     "sources": [{"A": 0.5, "B&C": 0.2, "A|B": 0.3}, {"A&B": 0.4, "C": 0.6}],
+     "dynamic_empty": ["A&B"], "rules": ["pcr5", "minc", "dsm_hybrid"]},
+]
+
+ODD_MASSES = st.sampled_from([
+    10 ** 400, -(10 ** 400), 1e308, -1e308, 5e-324, -0.0, 0, -1, 2, float("nan"), float("inf"),
+    True, None, "0.5", [], {},
+])
+
+ODD_VALUES = st.sampled_from([
+    None, True, False, 0, -1, 1, 2, 10 ** 400, -(10 ** 400), 1e308, -0.0, 5e-324, float("nan"),
+    float("inf"), "", "A", "Z", "A&", "(A", "A||B", "A B", ")", "θ0", "shafer", "hybrid", "open",
+    "b", "dynamic", "approx", [], [1], ["A"], ["A", "A"], ["Z"], [[]], {}, {"A": 1.0}, {"Z": 1.0},
+    {"A&": 1.0}, [{"A": 1.0}], [{"A": 0.5, "B": 0.5}], list("ABCDEFGHIJKLMNOPQ"), [3, 1, 2],
+]).map(copy.deepcopy)  # later mutations edit the document in place
+
+FIELDS = [("frame",), ("model",), ("model", "kind"), ("model", "empty"), ("model", "world"),
+          ("model", "theta0"), ("sources",), ("sources", 0), ("stream",), ("dynamic_empty",),
+          ("rules",), ("options",), ("options", "minc_version"), ("options", "wao_mode"),
+          ("options", "pcr5"), ("options", "order")]
+
+FLAGS = [[], ["--all"], ["--compare"], ["--sequential"], ["--pcr5", "approx"], ["--order", "2,1"],
+         ["--order", "x"], ["--minc-version", "b"], ["--minc-version", "c"], ["--wao-mode", "dynamic"],
+         ["--format", "machine"], ["--precision", "0"], ["--precision", "-1"], ["--rule", "pcr5"],
+         ["--rule", "pcr9"], ["--timing"], ["--bogus"]]
+
+
+def _set(doc, path, value):
+    """Replace the value at ``path`` when the container holding it exists."""
+    for key in path[:-1]:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(doc, dict) or (isinstance(doc, list) and doc and isinstance(path[-1], int)):
+        doc[path[-1]] = value
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A small scenario with one to three mutations, and a few command-line flags."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        what = draw(st.sampled_from(["field", "mass", "key"]))
+        tables = [t for key in ("sources", "stream") if isinstance(doc.get(key), list)
+                  for t in doc[key] if isinstance(t, dict) and t]
+        if what == "field" or not tables:
+            _set(doc, draw(st.sampled_from(FIELDS)), draw(ODD_VALUES))
+            continue
+        table = draw(st.sampled_from(tables))
+        key = draw(st.sampled_from(sorted(table)))
+        if what == "mass":
+            table[key] = draw(ODD_MASSES)
+        else:
+            table[draw(st.sampled_from(["Z", "A&", "(A|B", "", "A|Z", "A&B&C", "θ0"]))] = table.pop(key)
+    flags = draw(st.lists(st.sampled_from(FLAGS), max_size=3))
+    return doc, [arg for flag in flags for arg in flag]
+
+
+@given(fuzzed_runs())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_scenarios_and_flags_exit_0_2_or_3(tmp_path_factory, run):
+    doc, args = run
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert exit_code([str(path), *args]) in (0, 2, 3)

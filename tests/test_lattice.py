@@ -266,3 +266,25 @@ def test_equal_region_sets_iff_equal_canonical_forms(t1, t2):
     same_regions = oracle.evaluate(t1) == oracle.evaluate(t2)
     same_canonical = canonical_form(t1, model) == canonical_form(t2, model)
     assert same_regions == same_canonical
+
+
+@st.composite
+def hybrid_reductions(draw):
+    """Four to six labels, one to three random constraints, and an expression to reduce."""
+    labels = [chr(ord("A") + i) for i in range(draw(st.integers(4, 6)))]
+    constraints = draw(st.lists(expressions(labels, depth=2), min_size=1, max_size=3))
+    return labels, constraints, draw(expressions(labels))
+
+
+@given(hybrid_reductions())
+@settings(max_examples=300, deadline=None)
+def test_hybrid_reduce_matches_region_oracle(case):
+    labels, constraints, text = case
+    model = Model(Frame(labels), HYBRID, constraints)
+    oracle = RegionOracle(labels)
+    alive = oracle.universe.difference(*(oracle.evaluate(c) for c in constraints))
+    regions = oracle.evaluate(text) & alive
+    reduced = canonical_form(text, model)
+    assert reduced.empty == (not regions)
+    if regions:
+        assert reduced.clauses == prime_clauses_of_regions(regions, len(labels))

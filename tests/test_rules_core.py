@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from massfusion import (
     Bba,
@@ -25,11 +26,12 @@ from massfusion import (
 )
 from massfusion import bba
 
-from massfusion import to_fraction
-from massfusion.kernels import intersect_canon
+from massfusion import dubois_prade, to_fraction
+from massfusion.kernels import absorb_masks, intersect_canon, union_canon
+from massfusion.rules_classic import _dp_combine
 
 from conftest import assert_bba, matrix, random_shafer_case
-from oracles import conjunctive_reference, disjunctive_reference
+from oracles import conjunctive_reference, disjunctive_reference, fraction_fold_reference
 
 
 @pytest.fixture
@@ -145,6 +147,53 @@ def test_disjunctive_core_is_union_of_cores(rng):
         assert set(result) <= combined_core
         for elem in result:
             assert not model.reduce(elem).empty
+
+
+# --- the integer-numerator fold ---------------------------------------------
+
+
+@st.composite
+def mixed_denominator_matrices(draw):
+    """Two to four sources on a Shafer, free or hybrid three-label model.
+
+    Each source's masses either are the exact values of floats, as a float
+    fusion result fed back as a source (dyadic, denominators around 2^50,
+    which do not snap to small ones), or are decimals in millionths.
+    """
+    kind = draw(st.sampled_from([SHAFER, FREE, HYBRID]))
+    frame = Frame(["A", "B", "C"])
+    elements = st.lists(st.integers(1, 7), min_size=1, max_size=3).map(
+        lambda masks: frame.element(absorb_masks(masks)))
+    constraints = draw(st.lists(elements, min_size=1, max_size=2)) if kind == HYBRID else ()
+    model = Model(frame, kind, constraints)
+    sources = []
+    for _ in range(draw(st.integers(2, 4))):
+        focals = draw(st.lists(elements, min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(focals), max_size=len(focals)))
+        if draw(st.booleans()):
+            masses = [Fraction(w / sum(weights)) for w in weights]
+        else:
+            masses = [Fraction(w, 10 ** 6) for w in weights]
+        sources.append(Bba(model, dict(zip(focals, masses))))
+    return MassMatrix(sources)
+
+
+@given(mixed_denominator_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_fold_equals_a_fraction_fold(m):
+    model, fracs = m.model, m.fractions()
+    combines = {"conjunctive": intersect_canon, "disjunctive": union_canon,
+                "dubois_prade": _dp_combine(model)}
+    reference = {name: fraction_fold_reference(fracs, combine) for name, combine in combines.items()}
+    for name, combine in combines.items():
+        assert bba._fold(fracs, combine) == reference[name]
+    assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
+    for name, rule in (("disjunctive", disjunctive), ("dubois_prade", dubois_prade)):
+        merged = {}
+        for clauses, v in reference[name].items():
+            key = model.reduce(model.frame.element(clauses))
+            merged[key] = merged.get(key, Fraction(0)) + v
+        assert rule(m) == Bba(model, {k: float(v) for k, v in merged.items()})
 
 
 # --- one consensus per matrix -------------------------------------------------
