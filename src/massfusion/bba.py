@@ -1,11 +1,13 @@
 """Belief assignments, the mass matrix and the two passes over its products.
 
-Rule arithmetic runs on exact rationals: every float mass is converted once
-through :func:`to_fraction`, which snaps to a denominator of at most 10**6
-when that loses nothing, so that summation order can never perturb results.
-The fold multiplies and adds integer numerators over a common denominator
-and builds one ``Fraction`` per entry at the end; results are the same
-rationals.
+Rule arithmetic runs on exact rationals, converted once per assignment, so
+that summation order can never perturb results.  Masses a user passes in
+snap to small decimals through :func:`to_fraction`.  A rule result is built
+by :meth:`Bba._result`, which rounds each exact mass to a float once, and
+converts back to the exact value of each float, so every step of a
+sequential fusion rounds once.  The fold multiplies and adds integer
+numerators over a common denominator and builds one ``Fraction`` per entry
+at the end; results are the same rationals.
 
 The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
 (:func:`walk_terms`) only lists the conflicting product terms, for the
@@ -31,7 +33,13 @@ _SNAP = 10 ** 6
 
 
 def to_fraction(x):
-    """Exact rational for a mass value; decimal inputs stay small."""
+    """Exact rational for a mass a user passed in; decimal inputs stay small.
+
+    A float snaps to the rational with a denominator of at most 10**6
+    nearest to it when that lies within 1e-12 (``0.1`` becomes ``1/10``),
+    else it converts exactly.  Rule results do not come through here: they
+    convert to the exact value of their floats (:meth:`Bba.fractions`).
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -53,7 +61,7 @@ class Bba:
     empty-mass discipline.
     """
 
-    __slots__ = ("model", "masses", "_fractions")
+    __slots__ = ("model", "masses", "_fractions", "_exact")
 
     def __init__(self, model, masses):
         self.model = model
@@ -85,11 +93,38 @@ class Bba:
             merged[elem] = merged.get(elem, 0) + value
         self.masses = {k: merged[k] for k in sorted(merged)}
         self._fractions = None
+        self._exact = False
+
+    @classmethod
+    def _result(cls, model, merged):
+        """A rule's result from exact masses whose keys are already reduced, merged and sorted.
+
+        Each mass is rounded to a float once; masses below ``1e-12`` are
+        pruned and a negative mass is rejected.  :meth:`fractions` gives back
+        the exact value of each float, so a fed-back result is not snapped.
+        """
+        self = cls.__new__(cls)
+        self.model = model
+        self.masses = {}
+        for elem, mass in merged.items():
+            value = float(mass)
+            if value < 0:
+                raise NegativeMassError(elem, value)
+            if value >= MASS_EPS:
+                self.masses[elem] = value
+        self._fractions = None
+        self._exact = True
+        return self
 
     def fractions(self):
-        """Masses as exact rationals, keyed by element: a read-only view, converted once."""
+        """Masses as exact rationals, keyed by element: a read-only view, converted once.
+
+        A rule result gives the exact value of each float; masses a user
+        passed in go through :func:`to_fraction`.
+        """
         if self._fractions is None:
-            self._fractions = MappingProxyType({k: to_fraction(v) for k, v in self.masses.items()})
+            convert = Fraction if self._exact else to_fraction
+            self._fractions = MappingProxyType({k: convert(v) for k, v in self.masses.items()})
         return self._fractions
 
     def total(self):

@@ -210,10 +210,14 @@ def sequential_fusion(scenario) -> Report:
     """Fold the stream into the sources one observation at a time.
 
     Only the fused result is kept as the prior for the next step; the
-    report carries the assignment after every step.
+    report carries the assignment after every step.  A step's result lives
+    on the fusion model and the stream on the base model, so a scenario
+    with ``dynamic_empty`` is refused.
     """
     if not scenario.stream:
         raise ScenarioError(f"{scenario.path}: sequential mode needs a 'stream'")
+    if scenario.fusion_model != scenario.model:
+        raise ScenarioError(f"{scenario.path}: sequential mode does not support 'dynamic_empty'")
     steps = []
     priors = {}
     final = []

@@ -18,14 +18,14 @@ def _finish(model, out, exact=False):
     """A rule's result: a float ``Bba``, or with ``exact`` the sorted rational masses.
 
     Keys the model identifies are merged exactly first, so each mass is
-    rounded once, whatever order the rule added its parts in.
+    rounded once, whatever order the rule added its parts in.  The ``Bba``
+    is built directly from the merged keys, without re-reducing them.
     """
     merged = {}
     for elem, mass in out.items():
         accumulate(merged, model.reduce(elem), mass)
-    if exact:
-        return {k: merged[k] for k in sorted(merged)}
-    return Bba(model, {k: float(v) for k, v in merged.items()})
+    merged = {k: merged[k] for k in sorted(merged)}
+    return merged if exact else Bba._result(model, merged)
 
 
 def disjunctive(matrix, model=None) -> Bba:

@@ -5,9 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from massfusion import MassMatrix
+from massfusion import RULE_ORDER, MassMatrix
 from massfusion.cli import compare_rules, load_scenario, main, sequential_fusion
 
 ZADEH = {
@@ -136,6 +136,18 @@ def test_sequential_steps_conserve_normalization(tmp_path):
                 assert run.bba.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_twelve_sequential_steps_stay_normalized_for_every_rule(tmp_path):
+    scenario = load_scenario(write(tmp_path, dict(TARGET_STREAM, stream=TARGET_STREAM["stream"] * 6)),
+                             {"rules": list(RULE_ORDER)})
+    report = sequential_fusion(scenario)
+    assert len(report.steps) == 12 and not report.failed()
+    for step in report.steps:
+        for run in step:
+            assert run.bba.total() == pytest.approx(1.0, abs=1e-9), run.name
+            # a fed-back result is the exact value of its floats: dyadic rationals
+            assert all(q.denominator & (q.denominator - 1) == 0 for q in run.bba.fractions().values())
+
+
 def test_sequential_combines_multiple_initial_sources_first(tmp_path):
     doc = {"frame": ["A", "B"], "model": {"kind": "shafer"},
            "sources": [{"A": 1.0}, {"A": 0.1, "B": 0.9}],
@@ -259,11 +271,12 @@ def exit_code(argv):
     (dict(ZADEH, options={"order": {}}), [], "order"),
     (dict(ZADEH, options={"order": [True, 2]}), [], "order"),
     (dict(ZADEH, sources=[{"A": 10 ** 400}, {"B": 0.9, "C": 0.1}]), ["--pcr5", "approx"], "finite"),
+    (dict(ZADEH, stream=[{"A": 0.5, "B": 0.5}], dynamic_empty=["C"]), ["--sequential"], "dynamic_empty"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
         "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans",
-        "huge-integer-mass"])
+        "huge-integer-mass", "sequential-dynamic-empty"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err
@@ -313,6 +326,8 @@ FUZZ_BASES = [
     {"frame": ["A", "B", "C"], "model": {"kind": "free", "theta0": True},
      "sources": [{"A": 0.5, "B&C": 0.2, "A|B": 0.3}, {"A&B": 0.4, "C": 0.6}],
      "dynamic_empty": ["A&B"], "rules": ["pcr5", "minc", "dsm_hybrid"]},
+    # a stream under late emptiness: step results live on the fusion model, the stream on the base one
+    dict(TARGET_STREAM, sources=[{"A": 0.7, "B": 0.3}, {"A": 0.2, "A|B": 0.8}], dynamic_empty=["B"]),
 ]
 
 ODD_MASSES = st.sampled_from([
@@ -368,6 +383,7 @@ def fuzzed_runs(draw):
 
 
 @given(fuzzed_runs())
+@example(run=(FUZZ_BASES[-1], ["--sequential"]))  # every mutation of it may miss this path
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_scenarios_and_flags_exit_0_2_or_3(tmp_path_factory, run):
     doc, args = run

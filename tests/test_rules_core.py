@@ -1,6 +1,8 @@
+import contextlib
 import gc
 import itertools
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,24 +15,28 @@ from massfusion import (
     HYBRID,
     MassMatrix,
     Model,
+    NegativeMassError,
     RULES,
     RuleOptions,
     SHAFER,
+    TotalConflictError,
     conflict_ledger,
     conjunctive,
     disjunctive,
     pcr5_multi,
     pcr5_pair,
     run_rule,
+    shafer_as_hybrid,
     vacuous_bba,
 )
-from massfusion import bba
+from massfusion import bba, registry, rules_classic, rules_core, rules_minc, rules_pcr
 
 from massfusion import dubois_prade, to_fraction
 from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 from massfusion.rules_classic import _dp_combine
+from massfusion.rules_core import _finish
 
-from conftest import assert_bba, matrix, random_shafer_case
+from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
 from oracles import conjunctive_reference, disjunctive_reference, fraction_fold_reference
 
 
@@ -264,3 +270,91 @@ def test_rules_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- rule results: built once, fed back exactly -------------------------------
+
+
+@st.composite
+def matrices_and_fusion_models(draw):
+    """An exact matrix with its own model, or with a fusion model in which some labels became empty."""
+    m = draw(exact_matrices())
+    if draw(st.booleans()):
+        return m, m.model
+    frame = m.model.frame
+    base = shafer_as_hybrid(frame).constraints if m.model.kind == SHAFER else m.model.constraints
+    dead = draw(st.lists(st.sampled_from(frame.labels), min_size=1, unique=True))
+    return m, Model(frame, HYBRID, base + tuple(frame.singleton(label) for label in dead),
+                    theta0=draw(st.booleans()))
+
+
+def each_rule_result(m, model):
+    """``(result, (model, out))`` per rule and variant: the ``Bba`` and what the rule handed ``_finish``."""
+    finished = []
+
+    def record(model, out, exact=False):
+        finished.append((model, dict(out)))
+        return _finish(model, out, exact)
+
+    with contextlib.ExitStack() as stack:
+        for module in (registry, rules_classic, rules_core, rules_minc, rules_pcr):
+            stack.enter_context(patch.object(module, "_finish", record))
+        for name in RULES:
+            for opts in VARIANTS:
+                finished.clear()
+                try:
+                    result = run_rule(name, m, model, opts, Diagnostics())
+                except TotalConflictError:
+                    continue
+                assert len(finished) == 1, name
+                yield result, finished[0]
+
+
+@given(matrices_and_fusion_models())
+@settings(max_examples=100, deadline=None)
+def test_rule_results_equal_a_bba_built_from_their_exact_masses(case):
+    for result, (model, out) in each_rule_result(*case):
+        expected = Bba(model, {k: float(v) for k, v in _finish(model, out, exact=True).items()})
+        assert result.model == expected.model
+        assert list(result.items()) == list(expected.items())
+
+
+def test_finish_merges_before_pruning_below_1e_12():
+    frame = Frame(["A", "B", "C"])
+    model, free = Model(frame, SHAFER), Model(frame, FREE)
+    a, b, c = (model.canonical(x) for x in "ABC")
+    a_too = free.canonical("(A|B)&(A|C)")  # A under the Shafer model
+    b_too = free.canonical("(B|A)&(B|C)")
+    small, tiny = Fraction(6, 10 ** 13), Fraction(4, 10 ** 13)
+    out = {a: small, a_too: small, b: tiny, b_too: tiny, c: 1 - 2 * small - 2 * tiny}
+    result = _finish(model, out)
+    assert list(result) == [a, c]  # 1.2e-12 on A is kept, 8e-13 on B is pruned
+    assert result[a] == float(2 * small)
+    with pytest.raises(NegativeMassError):
+        _finish(model, {a: Fraction(-1, 10), c: Fraction(11, 10)})
+
+
+def is_dyadic(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
+@given(matrices_and_fusion_models())
+@settings(max_examples=50, deadline=None)
+def test_rule_results_feed_back_the_exact_value_of_each_float(case):
+    for result, _ in each_rule_result(*case):
+        fractions = result.fractions()
+        assert list(fractions) == list(result)
+        for elem, value in result.items():
+            assert fractions[elem] == Fraction(value) and is_dyadic(fractions[elem])
+
+
+def test_user_float_masses_still_snap_to_small_decimals():
+    model = Model(Frame(["A", "B"]), SHAFER)
+    user = Bba(model, {"A": 0.1, "B": 0.9})
+    assert dict(user.fractions()) == {model.canonical("A"): Fraction(1, 10),
+                                      model.canonical("B"): Fraction(9, 10)}
+    fused = run_rule("pcr5", MassMatrix([user, Bba(model, {"A": 0.4, "B": 0.6})]))
+    assert all(is_dyadic(q) for q in fused.fractions().values())
+    # the same floats passed in by a user snap again
+    assert Bba(model, dict(fused.items())).fractions() == {
+        e: to_fraction(v) for e, v in fused.items()}
