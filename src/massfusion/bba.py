@@ -383,9 +383,6 @@ class ConflictLedger:
     k: Fraction
     model: object = field(repr=False, compare=False)
 
-    def partial(self, element):
-        return self.partials.get(element, Fraction(0))
-
     @cached_property
     def involved(self):
         """Elements involved in the conflict, computed on first read.

@@ -5,13 +5,18 @@ Yager moves it to the total ignorance, Dubois-Prade moves each partial
 conflict to the union of its factors, the hybrid DSm rule routes it through
 integrity constraints, and the weighted-operator family (including both
 flavors of weighted averaging) reallocates it by per-element coefficients.
+
+Yager and the hybrid DSm rule give :func:`_transfer.redistribute` units
+with no weightings, so each goes straight down its stages: the total
+conflict to the total ignorance, and each conflicting product term of the
+hybrid rule to its disjunctive form, then the total ignorance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import _ignorance_stages, add, fallback_chain
+from ._transfer import _ignorance_stages, add, redistribute
 from .bba import Bba, accumulate, conflict_ledger, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
@@ -48,11 +53,9 @@ def yager(matrix, model=None, diag=None) -> Bba:
     """Yager's rule: the whole conflict reinforces the total ignorance."""
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    if k:
-        fallback_chain(model, out, "total-conflict", k,
-                       [("total-ignorance", model.frame.total_ignorance())], diag)
-    return _finish(model, out)
+    stages = [("total-ignorance", model.frame.total_ignorance())]
+    units = [("total-conflict", k, [], stages)] if k else []
+    return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
 def _dp_combine(model):
@@ -99,14 +102,13 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     """
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    if k:
-        for term in conflict_ledger(matrix, model).terms:
-            factors = [e for e, _ in term.factors]
-            if not all(model.reduce(e).empty for e in factors):
-                factors = [term.intersection]
-            fallback_chain(model, out, term.intersection, term.product,
-                           _ignorance_stages(model, factors), diag)
+    units = []
+    for term in conflict_ledger(matrix, model).terms if k else ():
+        factors = [e for e, _ in term.factors]
+        if not all(model.reduce(e).empty for e in factors):
+            factors = [term.intersection]
+        units.append((term.intersection, term.product, [], _ignorance_stages(model, factors)))
+    out = redistribute(model, dict(nonempty), units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")
     return _finish(model, out)

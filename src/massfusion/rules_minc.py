@@ -6,15 +6,20 @@ element (the equivalence-based reallocation), then proportional
 redistribution of the remaining partial conflicts.  Version a spreads a
 conflict over the unions of subsets of its components; version b over every
 non-empty power-set element under its disjunctive form.
+
+Each partial conflict is one :func:`_transfer.redistribute` unit with two
+weightings, the destinations' masses, then the components' column sums (a
+``"column-sums"`` fallback), and one stage, the disjunctive form.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from ._transfer import components, fallback_chain, proportional, u_of
+from ._transfer import _disjunctive_form, u_of
 from .bba import Bba
-from .rules_core import RawConjunctive, _finish, conjunctive
+from .rules_core import RawConjunctive
+from .rules_pcr import _partial_conflicts
 
 VERSION_A = "a"
 VERSION_B = "b"
@@ -23,8 +28,9 @@ VERSION_B = "b"
 def ebr_reallocate(raw: RawConjunctive, model=None) -> RawConjunctive:
     """Fold every model-equivalent mixed element onto its power-set form.
 
-    Masses of elements whose canonical form under the model is non-empty
-    move to that form; pure conflicts keep their free canonical form.
+    Masses of elements whose canonical form under the model is non-empty move to
+    that form; pure conflicts keep their free canonical form.  This is the split
+    of the consensus's ``reduced()`` view, which :func:`minc` reads directly.
     """
     model = model or raw.model
     nonempty, conflicts, _ = raw.reduced()
@@ -33,26 +39,16 @@ def ebr_reallocate(raw: RawConjunctive, model=None) -> RawConjunctive:
     return RawConjunctive(model, {k: merged[k] for k in sorted(merged)})
 
 
-def _destinations_a(model, components):
-    dests = set()
-    for r in range(1, len(components) + 1):
-        for combo in itertools.combinations(components, r):
-            mask = 0
-            for e in combo:
-                mask |= e.labels_mask()
-            dests.add(model.reduce(model.frame.element((mask,))))
-    return sorted(dests)
+def _destinations_a(model, conflict, components, nonempty):
+    """The unions of every non-empty subset of the components, under the model."""
+    return sorted({u_of(model, combo) for r in range(1, len(components) + 1)
+                   for combo in itertools.combinations(components, r)})
 
 
-def _destinations_b(model, conflict, reallocated):
+def _destinations_b(model, conflict, components, nonempty):
+    """The non-empty single-clause elements within the conflict's disjunctive form."""
     u_mask = u_of(model, [conflict]).labels_mask()
-    dests = []
-    for elem in reallocated:
-        if elem.empty or model.reduce(elem).empty:
-            continue
-        if len(elem.clauses) == 1 and elem.clauses[0] & ~u_mask == 0:
-            dests.append(elem)
-    return dests
+    return [e for e in nonempty if len(e.clauses) == 1 and e.clauses[0] & ~u_mask == 0]
 
 
 def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
@@ -64,28 +60,13 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
     """
     if version not in (VERSION_A, VERSION_B):
         raise ValueError(f"unknown minC version {version!r}")
-    model = model or matrix.model
-    star = ebr_reallocate(conjunctive(matrix, model), model)
-    nonempty, conflicts, _ = star.reduced()
-    out = dict(nonempty)
-    columns = matrix.column_sums(model)
-    for conflict, mass in conflicts.items():
-        comps = components(model, conflict)
-        if version == VERSION_A:
-            dests = _destinations_a(model, comps)
-        else:
-            dests = _destinations_b(model, conflict, star.masses)
-        weighted = [(d, nonempty[d]) for d in dests if nonempty.get(d)]
-        if weighted:
-            proportional(out, conflict, mass, weighted, diag)
-            continue
-        by_columns = [(c, columns[c]) for c in sorted(comps)
-                      if not c.empty and columns.get(c)]
-        if by_columns:
-            proportional(out, conflict, mass, by_columns, diag)
-            if diag is not None:
-                diag.fallback(conflict, "column-sums", None, mass)
-            continue
-        fallback_chain(model, out, conflict, mass,
-                       [("disjunctive-form", u_of(model, [conflict]))], diag)
-    return _finish(model, out)
+    destinations = _destinations_a if version == VERSION_A else _destinations_b
+
+    def unit(model, conflict, comps, nonempty, columns):
+        dests = destinations(model, conflict, comps, nonempty)
+        return ([(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)]),
+                 ("column-sums", [(c, columns[c]) for c in sorted(comps)
+                                  if not c.empty and columns.get(c)])],
+                _disjunctive_form(model, [conflict]))
+
+    return _partial_conflicts(matrix, model or matrix.model, diag, unit)

@@ -7,9 +7,12 @@ conflict over all columns (PCR1), over the columns involved in the conflict
 conjunctive masses (PCR4), and finally each individual product term over
 the masses composing it (PCR5: the consensus's non-empty masses plus the
 conflicting terms of the matrix's conflict ledger).
-Every rule shares one degenerate-case chain: proportional weights, then
-column sums, then the disjunctive form, then the total ignorance, then θ0
-or ∅.
+Each rule only lists its conflict units for :func:`_transfer.redistribute`:
+``(source, mass, weightings, stages)``, where ``weightings`` holds the
+rule's proportional weights (and, for PCR4, column sums as a named second
+weighting) and ``stages`` the degenerate-case chain tried when every
+weighting is empty: the disjunctive form, then for PCR3-PCR5 the total
+ignorance, and last θ0 or ∅.
 
 Arithmetic is exact rational throughout, which makes the results
 independent of source order and lets the convergence behaviour of PCR5 be
@@ -20,9 +23,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import _ignorance_stages, components, fallback_chain, proportional, u_of
+from ._transfer import _disjunctive_form, _ignorance_stages, components, redistribute
 from .bba import Bba, MassMatrix, conflict_ledger, focal_lists, walk_terms
 from .rules_core import _finish, conjunctive
+
+
+def _total_conflict(matrix, model, diag, involved_only):
+    """PCR1/PCR2: the total conflict ``k`` as one unit, split over column sums.
+
+    PCR1 weights every column, PCR2 only the columns involved in the
+    conflict; when none of them is non-empty with mass, ``k`` goes to their
+    disjunctive form.
+    """
+    nonempty, _, k = conjunctive(matrix, model).reduced()
+    units = []
+    if k:
+        sums = matrix.column_sums(model)
+        spread = sorted(conflict_ledger(matrix, model).involved) if involved_only else list(sums)
+        cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
+        weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
+        units.append(("total-conflict", k, [(None, weighted)], _disjunctive_form(model, spread)))
+    return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
 def pcr1(matrix, model=None, diag=None) -> Bba:
@@ -31,60 +52,46 @@ def pcr1(matrix, model=None, diag=None) -> Bba:
     The simplest proportionalization; it works in every degenerate case but
     a totally ignorant source shifts the result.
     """
-    model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    if k:
-        cols = [(e, c) for e, c in matrix.column_sums(model).items()
-                if not e.empty and not model.reduce(e).empty and c > 0]
-        if cols:
-            proportional(out, "total-conflict", k, cols, diag)
-        else:
-            fallback_chain(model, out, "total-conflict", k,
-                           [("disjunctive-form", u_of(model, list(matrix.column_sums(model))))],
-                           diag)
-    return _finish(model, out)
+    return _total_conflict(matrix, model or matrix.model, diag, involved_only=False)
 
 
 def pcr2(matrix, model=None, diag=None) -> Bba:
     """PCR2: total conflict over the columns involved in the conflict."""
-    model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    if k:
-        columns = matrix.column_sums(model)
-        involved = sorted(conflict_ledger(matrix, model).involved)
-        reduced = dict.fromkeys(model.reduce(e) for e in involved)
-        cols = [(e, columns.get(e, Fraction(0))) for e in reduced]
-        cols = [(e, c) for e, c in cols if not e.empty and c > 0]
-        if cols:
-            proportional(out, "total-conflict", k, cols, diag)
-        else:
-            fallback_chain(model, out, "total-conflict", k,
-                           [("disjunctive-form", u_of(model, involved))], diag)
-    return _finish(model, out)
+    return _total_conflict(matrix, model or matrix.model, diag, involved_only=True)
 
 
-def _split_partial(model, out, conflict, mass, weighted, components, diag):
-    """Common tail of PCR3/PCR4: weights, then columns, then ignorances."""
-    if weighted:
-        proportional(out, conflict, mass, weighted, diag)
-    else:
-        fallback_chain(model, out, conflict, mass,
-                       _ignorance_stages(model, components), diag)
+def _partial_conflicts(matrix, model, diag, unit):
+    """PCR3, PCR4 and minC: one unit per partial conflict.
+
+    ``unit(model, conflict, components, nonempty, columns)`` gives the
+    conflict's weightings and stages from its distinct components, the
+    consensus's non-empty masses and the column sums.
+    """
+    nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
+    columns = matrix.column_sums(model)
+    units = [(conflict, mass, *unit(model, conflict, components(model, conflict), nonempty, columns))
+             for conflict, mass in conflicts.items()]
+    return _finish(model, redistribute(model, dict(nonempty), units, diag))
+
+
+def _pcr3_unit(model, conflict, comps, nonempty, columns):
+    """The components' column sums, then their ignorances."""
+    return ([(None, [(e, columns[e]) for e in comps if not e.empty and columns.get(e)])],
+            _ignorance_stages(model, comps))
 
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
     """PCR3: each partial conflict over its components' column sums."""
-    model = model or matrix.model
-    nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    columns = matrix.column_sums(model)
-    for conflict, mass in conflicts.items():
-        comps = components(model, conflict)
-        weighted = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)]
-        _split_partial(model, out, conflict, mass, weighted, comps, diag)
-    return _finish(model, out)
+    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr3_unit)
+
+
+def _pcr4_unit(model, conflict, comps, nonempty, columns):
+    """Conjunctive masses when every component has one, else column sums; then ignorances."""
+    live = [e for e in comps if not e.empty]
+    masses = len(live) == len(comps) and all(nonempty.get(e) for e in live)
+    return ([(None, [(e, nonempty[e]) for e in live] if masses else []),
+             ("column-sums", [(e, columns[e]) for e in live if columns.get(e)])],
+            _ignorance_stages(model, comps))
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:
@@ -93,28 +100,14 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
     As soon as one component has zero conjunctive mass the whole split falls
     back to column sums, then to the partial ignorance of the components.
     """
-    model = model or matrix.model
-    nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    columns = matrix.column_sums(model)
-    for conflict, mass in conflicts.items():
-        comps = components(model, conflict)
-        live = [e for e in comps if not e.empty]
-        if live and all(nonempty.get(e) for e in live) and len(live) == len(comps):
-            weighted = [(e, nonempty[e]) for e in live]
-        else:
-            weighted = [(e, columns[e]) for e in live if columns.get(e)]
-            if weighted and diag is not None:
-                diag.fallback(conflict, "column-sums", None, mass)
-        _split_partial(model, out, conflict, mass, weighted, comps, diag)
-    return _finish(model, out)
+    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr4_unit)
 
 
 # --- PCR5 ------------------------------------------------------------------
 
 
-def _transfer_term(model, out, term, diag):
-    """Split one conflicting product term over the factors behind its conflict.
+def _term_unit(model, term):
+    """One conflicting product term as a unit, split over the factors behind its conflict.
 
     Factors pointing at one element pool their masses multiplicatively.  A
     factor deserves a share when it is non-empty under the model and at
@@ -129,19 +122,18 @@ def _transfer_term(model, out, term, diag):
     zset = set(term.intersection.clauses)
     dests = [(elem, weight) for elem, weight in groups.items()
              if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
-    if dests:
-        proportional(out, term.factors, term.product, dests, diag)
-    else:
-        fallback_chain(model, out, term.factors, term.product,
-                       _ignorance_stages(model, list(groups)), diag)
+    return term.factors, term.product, [(None, dests)], _ignorance_stages(model, list(groups))
+
+
+def _transfer_term(model, out, term, diag):
+    """Split one conflicting product term into ``out``."""
+    redistribute(model, out, [_term_unit(model, term)], diag)
 
 
 def _pcr5(matrix, model, terms, diag):
     """Rational PCR5 masses: the consensus's non-empty masses plus every term, split within itself."""
     out = dict(conjunctive(matrix, model).reduced()[0])
-    for term in terms:
-        _transfer_term(model, out, term, diag)
-    return out
+    return redistribute(model, out, (_term_unit(model, term) for term in terms), diag)
 
 
 def pcr5_pair(m1, m2, model=None, diag=None, exact=False):

@@ -29,7 +29,7 @@ from massfusion import (
     shafer_as_hybrid,
     vacuous_bba,
 )
-from massfusion import bba, registry, rules_classic, rules_core, rules_minc, rules_pcr
+from massfusion import bba, registry, rules_classic, rules_core, rules_pcr
 
 from massfusion import dubois_prade, to_fraction
 from massfusion.kernels import absorb_masks, intersect_canon, union_canon
@@ -297,7 +297,7 @@ def each_rule_result(m, model):
         return _finish(model, out, exact)
 
     with contextlib.ExitStack() as stack:
-        for module in (registry, rules_classic, rules_core, rules_minc, rules_pcr):
+        for module in (registry, rules_classic, rules_core, rules_pcr):
             stack.enter_context(patch.object(module, "_finish", record))
         for name in RULES:
             for opts in VARIANTS:
@@ -317,6 +317,26 @@ def test_rule_results_equal_a_bba_built_from_their_exact_masses(case):
         expected = Bba(model, {k: float(v) for k, v in _finish(model, out, exact=True).items()})
         assert result.model == expected.model
         assert list(result.items()) == list(expected.items())
+
+
+CONFLICT_MOVERS = [(name, RuleOptions()) for name in (
+    "yager", "dsm_hybrid", "minc", "pcr1", "pcr2", "pcr3", "pcr4", "pcr5")] + [
+    ("minc", RuleOptions(minc_version="b")), ("pcr5", RuleOptions(pcr5_variant="approx")),
+    ("wao", RuleOptions(wao_mode="dynamic"))]
+
+
+@given(matrices_and_fusion_models())
+@settings(max_examples=100, deadline=None)
+def test_redistributing_rules_move_exactly_the_conflict(case):
+    """Transfer records plus fallbacks with a destination add up to ``k``, as rationals."""
+    m, model = case
+    k = conjunctive(m, model).reduced()[2]
+    for name, opts in CONFLICT_MOVERS:
+        diag = Diagnostics()
+        run_rule(name, m, model, opts, diag)
+        moved = sum((r.amount for r in diag.records), Fraction(0))
+        moved += sum((f.amount for f in diag.fallbacks if f.destination is not None), Fraction(0))
+        assert moved == k, (name, opts)
 
 
 def test_finish_merges_before_pruning_below_1e_12():
