@@ -58,7 +58,7 @@ from .rules_classic import (
     yager,
 )
 from .rules_core import RawConjunctive, conjunctive, disjunctive
-from .rules_minc import ebr_reallocate, minc
+from .rules_minc import minc
 from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi, pcr5_pair
 
 __version__ = "0.1.0"
@@ -73,7 +73,7 @@ __all__ = [
     "CLOSED", "FREE", "HYBRID", "OPEN", "SHAFER",
     "canonical_form", "column_sum", "conflict_ledger", "conjunctive",
     "dempster", "disjunctive", "disjunctive_form", "dsm_hybrid",
-    "dubois_prade", "ebr_reallocate", "is_empty", "minc", "parse_expr",
+    "dubois_prade", "is_empty", "minc", "parse_expr",
     "pcr1", "pcr2", "pcr3", "pcr4", "pcr5_approximate", "pcr5_multi",
     "pcr5_pair", "run_rule", "shafer_as_hybrid", "smets", "to_fraction",
     "vacuous_bba", "validate_bba", "wao", "weighted_operator", "yager",

@@ -296,15 +296,16 @@ class RawConjunctive:
         self._reduced = None
 
     def reduced(self):
-        """Return ``(nonempty, conflicts, k)`` under the model."""
+        """Return ``(nonempty, conflicts, k)`` under the model.
+
+        Both maps are keyed by the elements :meth:`Model.reduce` returns; a
+        partial conflict keeps its free canonical form, flagged empty.
+        """
         if self._reduced is None:
             nonempty, conflicts = {}, {}
             for elem, mass in self.masses.items():
                 red = self.model.reduce(elem)
-                if red.empty:
-                    accumulate(conflicts, self.model.frame.element(elem.clauses, empty=True), mass)
-                else:
-                    accumulate(nonempty, red, mass)
+                accumulate(conflicts if red.empty else nonempty, red, mass)
             k = sum(conflicts.values(), Fraction(0))
             self._reduced = (
                 {e: nonempty[e] for e in sorted(nonempty)},
@@ -334,27 +335,24 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     return raw
 
 
-def focal_lists(sources):
-    """Each source's (element, exact mass) pairs in element order."""
-    return [sorted(src.fractions().items()) for src in sources]
-
-
 @dataclass(frozen=True)
 class ConflictTerm:
     """One product of focal elements with an empty combined intersection."""
 
     factors: tuple  # one (element, mass fraction) per source
     product: Fraction
-    intersection: CanonicalElement  # free canonical form, empty under the model
+    intersection: CanonicalElement  # free canonical form, flagged empty by the model
 
 
 def walk_terms(model, focal_lists):
     """Every product of one focal element per source that is empty under ``model``.
 
-    Returns the :class:`ConflictTerm` values in lexicographic factor order.
-    The walk is depth-first, so each prefix intersection and prefix product
-    is computed once and shared by every term that extends it; at the last
-    source a product is formed only for a conflicting leaf.
+    ``focal_lists`` holds each source's (element, exact mass) pairs in
+    element order, such as ``src.fractions().items()``.  Returns the
+    :class:`ConflictTerm` values in lexicographic factor order.  The walk is
+    depth-first, so each prefix intersection and prefix product is computed
+    once and shared by every term that extends it; at the last source a
+    product is formed only for a conflicting leaf.
     """
     terms = []
     _walk(model, focal_lists, terms, (), Fraction(1), None)
@@ -369,9 +367,8 @@ def _walk(model, focal_lists, terms, factors, product, clauses):
         here = elem.clauses if clauses is None else intersect_canon(clauses, elem.clauses)
         if not last:
             _walk(model, focal_lists, terms, factors + (item,), product * mass, here)
-        elif model.reduce(frame.element(here)).empty:
-            empty = frame.element(here, empty=True)
-            terms.append(ConflictTerm(factors + (item,), product * mass, empty))
+        elif (red := model.reduce(frame.element(here))).empty:
+            terms.append(ConflictTerm(factors + (item,), product * mass, red))
 
 
 @dataclass(frozen=True)
@@ -417,6 +414,6 @@ def conflict_ledger(matrix, model=None):
         if matrix.s < 2:
             raise ValueError("conflict needs at least two sources")
         _, partials, k = conjunctive(matrix, model).reduced()
-        terms = walk_terms(model, focal_lists(matrix.sources)) if k else ()
+        terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
         matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k, model)
     return matrix._ledgers[model]

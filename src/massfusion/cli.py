@@ -209,43 +209,24 @@ def run_scenario(scenario) -> Report:
 def sequential_fusion(scenario) -> Report:
     """Fold the stream into the sources one observation at a time.
 
-    Only the fused result is kept as the prior for the next step; the
-    report carries the assignment after every step.  A step's result lives
-    on the fusion model and the stream on the base model, so a scenario
-    with ``dynamic_empty`` is refused.
+    The sources are fused once, by :func:`run_scenario`; each rule's result
+    is then its prior for the next observation, and only that result is
+    kept.  A rule that fails keeps its failed run for the remaining steps.
+    The report carries every rule's run after every step.  A step's result
+    lives on the fusion model and the stream on the base model, so a
+    scenario with ``dynamic_empty`` is refused.
     """
     if not scenario.stream:
         raise ScenarioError(f"{scenario.path}: sequential mode needs a 'stream'")
     if scenario.fusion_model != scenario.model:
         raise ScenarioError(f"{scenario.path}: sequential mode does not support 'dynamic_empty'")
+    runs = run_scenario(scenario).runs
     steps = []
-    priors = {}
-    final = []
-    for name in scenario.rules:
-        prior = scenario.sources[0]
-        if len(scenario.sources) > 1:
-            first = _execute(name, MassMatrix(scenario.sources), scenario)
-            if first.error:
-                priors[name] = first
-                continue
-            prior = first.bba
-        priors[name] = prior
-    for i, obs in enumerate(scenario.stream):
-        step_runs = []
-        for name in scenario.rules:
-            prior = priors[name]
-            if isinstance(prior, RuleRun):  # already failed
-                step_runs.append(prior)
-                continue
-            run = _execute(name, MassMatrix([prior, obs]), scenario)
-            if not run.error:
-                priors[name] = run.bba
-            else:
-                priors[name] = run
-            step_runs.append(run)
-        steps.append(step_runs)
-    final = steps[-1] if steps else []
-    return Report(scenario, final, steps=steps)
+    for obs in scenario.stream:
+        runs = [run if run.error else _execute(run.name, MassMatrix([run.bba, obs]), scenario)
+                for run in runs]
+        steps.append(runs)
+    return Report(scenario, runs, steps=steps)
 
 
 def compare_rules(scenario) -> Report:
@@ -402,10 +383,11 @@ def build_parser():
     p.add_argument("--rule", action="append", dest="rules", metavar="NAME",
                    help=f"rule to run (repeatable); one of: {', '.join(RULE_ORDER)}")
     p.add_argument("--all", action="store_true", help="run every registered rule")
-    p.add_argument("--compare", action="store_true",
-                   help="run every rule and report pairwise differences")
-    p.add_argument("--sequential", action="store_true",
-                   help="fold the scenario's stream one observation at a time")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--compare", action="store_true",
+                      help="run every rule and report pairwise differences")
+    mode.add_argument("--sequential", action="store_true",
+                      help="fold the scenario's stream one observation at a time")
     p.add_argument("--minc-version", choices=("a", "b"), default=None)
     p.add_argument("--wao-mode", choices=("static", "dynamic"), default=None)
     p.add_argument("--pcr5", choices=("exact", "approx"), default=None)

@@ -462,9 +462,7 @@ def shafer_as_hybrid(frame, world=CLOSED, theta0=False):
 
 def canonical_form(expr, model):
     """Canonical form of an expression (or its text) under a model."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr, model.frame)
-    return model.reduce(model.frame.element(free_clauses(expr, model.frame)))
+    return model.canonical(expr)
 
 
 def is_empty(element, model):

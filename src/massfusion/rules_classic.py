@@ -144,10 +144,11 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
 
     Static weighting uses the per-element average of the source masses; the
     share aimed at elements that have meanwhile become empty is simply lost,
-    so the result can sum below one.  That deficit is reported through the
-    diagnostics, never silently renormalized.  The dynamic variant rescales
-    the coefficients over the non-empty columns, which is exactly the first
-    proportional-conflict rule, so it runs :func:`rules_pcr.pcr1`.
+    so the result can sum below one.  That lost share, ``k`` times the
+    average mass of the empty columns, is reported through the diagnostics
+    as ``sum_deficit``, never silently renormalized.  The dynamic variant
+    rescales the coefficients over the non-empty columns, which is exactly
+    the first proportional-conflict rule, so it runs :func:`rules_pcr.pcr1`.
     """
     if mode == DYNAMIC:
         return pcr1(matrix, model, diag)
@@ -155,17 +156,18 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
         raise ValueError(f"unknown mode {mode!r}")
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
-    cols = {e: c for e, c in matrix.column_sums(model).items()
-            if not model.reduce(e).empty and c > 0}
     out = dict(nonempty)
+    dropped = Fraction(0)
     if k:
         denom = Fraction(matrix.s)
-        for elem, c in cols.items():
+        for elem, c in matrix.column_sums(model).items():
             share = k * c / denom
+            if elem.empty:
+                dropped += share
+                continue
             add(out, elem, share)
             if diag is not None:
                 diag.record("total-conflict", elem, share, denom)
-    total = sum(out.values(), Fraction(0))
-    if diag is not None and total != 1:
-        diag.sum_deficit = float(1 - total)
+    if diag is not None and dropped:
+        diag.sum_deficit = float(dropped)
     return _finish(model, out)

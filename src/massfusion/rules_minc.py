@@ -3,7 +3,9 @@
 Three stages: conjunctive consensus on the free lattice, reallocation of
 every mixed element that the model identifies with a non-empty power-set
 element (the equivalence-based reallocation), then proportional
-redistribution of the remaining partial conflicts.  Version a spreads a
+redistribution of the remaining partial conflicts.  The second stage is the
+consensus's ``reduced()`` view, which merges every non-empty entry onto its
+reduced form and keeps each partial conflict apart.  Version a spreads a
 conflict over the unions of subsets of its components; version b over every
 non-empty power-set element under its disjunctive form.
 
@@ -18,25 +20,10 @@ import itertools
 
 from ._transfer import _disjunctive_form, u_of
 from .bba import Bba
-from .rules_core import RawConjunctive
 from .rules_pcr import _partial_conflicts
 
 VERSION_A = "a"
 VERSION_B = "b"
-
-
-def ebr_reallocate(raw: RawConjunctive, model=None) -> RawConjunctive:
-    """Fold every model-equivalent mixed element onto its power-set form.
-
-    Masses of elements whose canonical form under the model is non-empty move to
-    that form; pure conflicts keep their free canonical form.  This is the split
-    of the consensus's ``reduced()`` view, which :func:`minc` reads directly.
-    """
-    model = model or raw.model
-    nonempty, conflicts, _ = raw.reduced()
-    merged = dict(nonempty)
-    merged.update(conflicts)
-    return RawConjunctive(model, {k: merged[k] for k in sorted(merged)})
 
 
 def _destinations_a(model, conflict, components, nonempty):

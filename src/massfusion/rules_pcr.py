@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import _disjunctive_form, _ignorance_stages, components, redistribute
-from .bba import Bba, MassMatrix, conflict_ledger, focal_lists, walk_terms
+from .bba import Bba, MassMatrix, conflict_ledger, walk_terms
 from .rules_core import _finish, conjunctive
 
 
@@ -185,5 +185,5 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]
     head = conjunctive(MassMatrix(sources[:-1]), model)
-    terms = walk_terms(model, [list(head.masses.items()), *focal_lists(sources[-1:])])
+    terms = walk_terms(model, [head.masses.items(), sources[-1].fractions().items()])
     return _finish(model, _pcr5(matrix, model, terms, diag))

@@ -157,6 +157,18 @@ def test_sequential_combines_multiple_initial_sources_first(tmp_path):
     assert run.bba["A"] == pytest.approx(0.480268, abs=5e-5)
 
 
+def test_static_wao_reports_no_deficit_when_no_column_is_empty(tmp_path, capsys):
+    # fed-back step results are exact floats, so a step's inputs need not sum to one as rationals
+    doc = {"frame": ["A", "B", "C"], "model": {"kind": "hybrid", "empty": ["A&B"]},
+           "sources": [{"A": 0.5, "B|C": 0.3, "A|B|C": 0.2}, {"B": 0.6, "A&C": 0.1, "A|C": 0.3}],
+           "stream": [{"A": 0.9, "B": 0.1}, {"B": 1.0}, {"C": 0.7, "A|B": 0.3}]}
+    code, out = run_table(doc, tmp_path, capsys, "--sequential", "--rule", "wao")
+    assert code == 0 and out.count("-- step") == 3
+    assert "sum below" not in out
+    code, out = run_table(doc, tmp_path, capsys, "--sequential", "--rule", "wao", "--format", "machine")
+    assert code == 0 and "sum_deficit" not in json.loads(out)["rules"]["wao"]
+
+
 def test_sequential_dempster_aborts_on_total_conflict(tmp_path):
     doc = {"frame": ["A", "B"], "model": {"kind": "shafer"},
            "sources": [{"A": 1.0}], "stream": [{"B": 1.0}, {"A": 0.5, "B": 0.5}]}
@@ -272,11 +284,12 @@ def exit_code(argv):
     (dict(ZADEH, options={"order": [True, 2]}), [], "order"),
     (dict(ZADEH, sources=[{"A": 10 ** 400}, {"B": 0.9, "C": 0.1}]), ["--pcr5", "approx"], "finite"),
     (dict(ZADEH, stream=[{"A": 0.5, "B": 0.5}], dynamic_empty=["C"]), ["--sequential"], "dynamic_empty"),
+    (TARGET_STREAM, ["--sequential", "--compare"], "not allowed with"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
         "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans",
-        "huge-integer-mass", "sequential-dynamic-empty"])
+        "huge-integer-mass", "sequential-dynamic-empty", "sequential-with-compare"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err
@@ -304,22 +317,26 @@ def test_shipped_scenarios_run(path, capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MACHINE = ["--format", "machine"]
 GOLDEN_FLAGS = {
-    "all": ["--all"],
-    "compare": ["--compare"],
-    "pcr5-approx": ["--pcr5", "approx", "--all"],
-    "minc-b-wao-dynamic": ["--all", "--minc-version", "b", "--wao-mode", "dynamic"],
-    "sequential": ["--sequential", "--all"],
+    "all": ["--all", *MACHINE],
+    "compare": ["--compare", *MACHINE],
+    "pcr5-approx": ["--pcr5", "approx", "--all", *MACHINE],
+    "minc-b-wao-dynamic": ["--all", "--minc-version", "b", "--wao-mode", "dynamic", *MACHINE],
+    "sequential": ["--sequential", "--all", *MACHINE],
+    "table-all": ["--all"],
+    "table-compare": ["--compare"],
+    "table-sequential": ["--sequential", "--all"],
 }
 GOLDEN_RUNS = [(path.stem, run) for path in SCENARIOS for run in GOLDEN_FLAGS
-               if run != "sequential" or "stream" in json.loads(path.read_text(encoding="utf-8"))]
+               if "sequential" not in run or "stream" in json.loads(path.read_text(encoding="utf-8"))]
 
 
 @pytest.mark.parametrize("stem, run", GOLDEN_RUNS, ids=[f"{stem}-{run}" for stem, run in GOLDEN_RUNS])
 def test_shipped_scenario_output_matches_its_snapshot(stem, run, monkeypatch, capsys):
-    """``massfusion scenarios/<stem>.json <flags> --format machine``, byte for byte."""
+    """``massfusion scenarios/<stem>.json <flags>``, byte for byte."""
     monkeypatch.chdir(GOLDEN.parent.parent)  # the report names the scenario path as given
-    assert main([f"scenarios/{stem}.json", *GOLDEN_FLAGS[run], "--format", "machine"]) == 0
+    assert main([f"scenarios/{stem}.json", *GOLDEN_FLAGS[run]]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{stem}.{run}.txt").read_bytes()
 
 

@@ -32,6 +32,7 @@ from massfusion import (
 from massfusion import bba, registry, rules_classic, rules_core, rules_pcr
 
 from massfusion import dubois_prade, to_fraction
+from massfusion.cli import scenario_from_dict, sequential_fusion
 from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 from massfusion.rules_classic import _dp_combine
 from massfusion.rules_core import _finish
@@ -238,6 +239,18 @@ def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
     other = Model(m.model.frame, FREE)
     assert conjunctive(m, other) is not raw
     assert conjunctive(m, other).reduced()[2] == 0
+
+
+def test_sequential_fusion_folds_the_initial_consensus_once(monkeypatch):
+    folds, _ = count_passes(monkeypatch)
+    scenario = scenario_from_dict({
+        "frame": ["A", "B"], "model": {"kind": "shafer"},
+        "sources": [{"A": 0.6, "B": 0.3, "A|B": 0.1}, {"A": 0.2, "B": 0.7, "A|B": 0.1}],
+        "stream": [{"A": 0.4, "B": 0.6}, {"A": 0.5, "A|B": 0.5}]})
+    report = sequential_fusion(scenario)
+    assert [run.name for run in report.runs] == list(RULES) and not report.failed()
+    initial = tuple(id(src.fractions()) for src in scenario.sources)
+    assert folds.count(initial) == 1
 
 
 def test_a_matrix_keeps_one_ledger_per_model():

@@ -7,7 +7,6 @@ from massfusion import (
     Model,
     SHAFER,
     conjunctive,
-    ebr_reallocate,
     minc,
     vacuous_bba,
     validate_bba,
@@ -37,8 +36,7 @@ def _masses(mapping):
 
 
 def test_reallocation_moves_equivalent_mixed_elements(three_matrix):
-    star = ebr_reallocate(conjunctive(three_matrix))
-    nonempty, conflicts, _ = star.reduced()
+    nonempty, conflicts, _ = conjunctive(three_matrix).reduced()
     got = _masses(nonempty)
     assert got["t1"] == pytest.approx(0.20)  # 0.19 + 0.01
     assert got["t2"] == pytest.approx(0.17)  # 0.15 + 0.02
@@ -58,7 +56,8 @@ def test_reallocation_moves_equivalent_mixed_elements(three_matrix):
 def test_reallocation_without_mixed_elements_is_identity(shafer_ab):
     m = matrix(shafer_ab, {"A": 0.6, "B": 0.4}, {"A": 0.5, "B": 0.5})
     raw = conjunctive(m)
-    assert ebr_reallocate(raw).masses == raw.masses
+    nonempty, conflicts, _ = raw.reduced()
+    assert {**nonempty, **conflicts} == raw.masses
 
 
 def test_version_a_result(three_matrix):
@@ -122,7 +121,7 @@ def test_each_conflict_is_conserved(three_matrix, three_shafer):
     for version in ("a", "b"):
         diag = Diagnostics()
         minc(three_matrix, version, diag=diag)
-        _, conflicts, _ = ebr_reallocate(conjunctive(three_matrix)).reduced()
+        _, conflicts, _ = conjunctive(three_matrix).reduced()
         for conflict, mass in conflicts.items():
             moved = sum(r.amount for r in diag.records if r.source == conflict)
             assert moved == mass
