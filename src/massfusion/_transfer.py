@@ -1,13 +1,14 @@
 """The one redistribution loop, and the helpers its rules share.
 
 Every redistributing rule hands its conflict to :func:`redistribute` as
-units ``(source, mass, weightings, stages)``.  ``source`` names the
+units ``(source, mass, weightings, elements)``.  ``source`` names the
 conflict in the diagnostics.  ``weightings`` is an ordered list of
 ``(stage, [(element, weight), ...])``: the first non-empty one splits
 ``mass`` by weight, and a named stage (``"column-sums"``) also records a
-fallback.  When every weighting is empty, ``mass`` goes down ``stages``,
-``(name, element)`` candidates for :func:`fallback_chain`; a generator
-builds them only for a unit that falls back.
+fallback.  When every weighting is empty, :func:`fallback_chain` sends
+``mass`` to the disjunctive form of ``elements``, else to the total
+ignorance, else to θ0 when enabled, else to ∅; with no ``elements`` (the
+whole conflict, as in Yager's rule) it starts at the total ignorance.
 """
 
 from __future__ import annotations
@@ -23,17 +24,6 @@ def u_of(model, elements):
     if mask == 0:
         return model.frame.empty_element()
     return model.reduce(model.frame.element((mask,)))
-
-
-def _disjunctive_form(model, elements):
-    """The elements' disjunctive form as a fallback stage, built when first asked for."""
-    yield "disjunctive-form", u_of(model, elements)
-
-
-def _ignorance_stages(model, elements):
-    """The usual fallback stages: the elements' disjunctive form, then the total ignorance."""
-    yield from _disjunctive_form(model, elements)
-    yield "total-ignorance", model.frame.total_ignorance()
 
 
 def components(model, conflict):
@@ -61,27 +51,28 @@ def proportional(out, source, mass, weighted, diag=None):
             diag.record(source, elem, share, constant)
 
 
-def fallback_chain(model, out, source, mass, stages, diag=None):
-    """Send ``mass`` to the first non-empty stage, else to θ0 if enabled, else to ∅.
+def fallback_chain(model, out, source, mass, elements, diag=None):
+    """Send ``mass`` to the first non-empty stage of the degenerate-case chain.
 
-    ``stages`` is an iterable of (name, element) candidates tried in order.
+    The stages are the disjunctive form of ``elements`` (skipped when there
+    are none), the total ignorance, then θ0 if enabled, else ∅.  Each is
+    built only when the one before it is empty under the model.
     """
-    for name, elem in stages:
-        elem = model.reduce(elem)
-        if not elem.empty:
-            break
-    else:
-        frame = model.frame
-        elem, name = ((frame.theta0(), "theta0") if model.theta0_enabled
-                      else (frame.empty_element(), "empty-set"))
+    frame = model.frame
+    name, elem = "disjunctive-form", u_of(model, elements)
+    if elem.empty:
+        name, elem = "total-ignorance", model.total_ignorance()
+    if elem.empty:
+        name, elem = (("theta0", frame.theta0()) if model.theta0_enabled
+                      else ("empty-set", frame.empty_element()))
     add(out, elem, mass)
     if diag is not None:
         diag.fallback(source, name, elem, mass)
 
 
 def redistribute(model, out, units, diag=None):
-    """Add each unit's mass to ``out`` by its first non-empty weighting, else down its stages."""
-    for source, mass, weightings, stages in units:
+    """Add each unit's mass to ``out`` by its first non-empty weighting, else by fallback."""
+    for source, mass, weightings, elements in units:
         for stage, weighted in weightings:
             if weighted:
                 proportional(out, source, mass, weighted, diag)
@@ -89,5 +80,5 @@ def redistribute(model, out, units, diag=None):
                     diag.fallback(source, stage, None, mass)
                 break
         else:
-            fallback_chain(model, out, source, mass, stages, diag)
+            fallback_chain(model, out, source, mass, elements, diag)
     return out

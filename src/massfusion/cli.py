@@ -259,25 +259,25 @@ def _element_columns(runs):
 
 
 def _format_table(runs, precision, timing):
+    """One column per rule, then each rule's error, deficit and notes, even when no mass is left."""
     elems = _element_columns(runs)
-    if not elems:
-        lines = [f"! {run.name}: {run.error}" for run in runs if run.error]
-        return lines or ["(no results)"]
-    width = max(10, precision + 4)
-    name_w = max([len(str(e)) for e in elems] + [7])
-    lines = [" ".join([" " * name_w] + [f"{run.name:>{width}}" for run in runs])]
-    for e in elems:
-        cells = []
+    lines = []
+    if elems:
+        width = max(10, precision + 4)
+        name_w = max([len(str(e)) for e in elems] + [7])
+        lines.append(" ".join([" " * name_w] + [f"{run.name:>{width}}" for run in runs]))
+        for e in elems:
+            cells = []
+            for run in runs:
+                if run.error:
+                    cells.append(f"{'—':>{width}}")
+                else:
+                    cells.append(f"{run.bba[e]:>{width}.{precision}f}")
+            lines.append(" ".join([f"{str(e):<{name_w}}"] + cells))
+        total_row = []
         for run in runs:
-            if run.error:
-                cells.append(f"{'—':>{width}}")
-            else:
-                cells.append(f"{run.bba[e]:>{width}.{precision}f}")
-        lines.append(" ".join([f"{str(e):<{name_w}}"] + cells))
-    total_row = []
-    for run in runs:
-        total_row.append(f"{'—':>{width}}" if run.error else f"{run.bba.total():>{width}.{precision}f}")
-    lines.append(" ".join([f"{'(sum)':<{name_w}}"] + total_row))
+            total_row.append(f"{'—':>{width}}" if run.error else f"{run.bba.total():>{width}.{precision}f}")
+        lines.append(" ".join([f"{'(sum)':<{name_w}}"] + total_row))
     for run in runs:
         if run.error:
             lines.append(f"! {run.name}: {run.error}")
@@ -285,6 +285,7 @@ def _format_table(runs, precision, timing):
             lines.append(f"! {run.name}: sum below one by {run.diag.sum_deficit:.{precision}f}")
         for note in run.diag.notes:
             lines.append(f"# {run.name}: {note}")
+    lines = lines or ["(no results)"]
     if timing:
         lines.append("timing: " + " ".join(f"{r.name}={r.seconds * 1e3:.2f}ms" for r in runs))
     return lines
@@ -400,7 +401,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.rules and (args.all or args.compare):
+        other = "--all" if args.all else "--compare"
+        parser.error(f"argument --rule: not allowed with argument {other}")
     overrides = {
         "rules": list(RULE_ORDER) if (args.all or args.compare) else args.rules,
         "minc_version": args.minc_version,

@@ -21,7 +21,7 @@ class FallbackEvent:
     """A transfer that had to walk the degenerate-case chain."""
 
     source: object
-    stage: str  # column-sums | disjunctive-form | partial-ignorance | total-ignorance | theta0 | empty-set
+    stage: str  # column-sums | disjunctive-form | total-ignorance | theta0 | empty-set
     destination: object
     amount: Fraction
 

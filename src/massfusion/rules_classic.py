@@ -7,16 +7,17 @@ integrity constraints, and the weighted-operator family (including both
 flavors of weighted averaging) reallocates it by per-element coefficients.
 
 Yager and the hybrid DSm rule give :func:`_transfer.redistribute` units
-with no weightings, so each goes straight down its stages: the total
-conflict to the total ignorance, and each conflicting product term of the
-hybrid rule to its disjunctive form, then the total ignorance.
+``(source, mass, [], elements)`` with no weightings, so each goes straight
+down the fallback chain: Yager's total conflict names no elements and
+starts at the total ignorance, and each conflicting product term of the
+hybrid rule names the elements whose disjunctive form comes first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import _ignorance_stages, add, redistribute
+from ._transfer import add, redistribute
 from .bba import Bba, accumulate, conflict_ledger, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
@@ -53,8 +54,7 @@ def yager(matrix, model=None, diag=None) -> Bba:
     """Yager's rule: the whole conflict reinforces the total ignorance."""
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
-    stages = [("total-ignorance", model.frame.total_ignorance())]
-    units = [("total-conflict", k, [], stages)] if k else []
+    units = [("total-conflict", k, [], [])] if k else []
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
@@ -107,7 +107,7 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
         factors = [e for e, _ in term.factors]
         if not all(model.reduce(e).empty for e in factors):
             factors = [term.intersection]
-        units.append((term.intersection, term.product, [], _ignorance_stages(model, factors)))
+        units.append((term.intersection, term.product, [], factors))
     out = redistribute(model, dict(nonempty), units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")

@@ -9,16 +9,18 @@ reduced form and keeps each partial conflict apart.  Version a spreads a
 conflict over the unions of subsets of its components; version b over every
 non-empty power-set element under its disjunctive form.
 
-Each partial conflict is one :func:`_transfer.redistribute` unit with two
-weightings, the destinations' masses, then the components' column sums (a
-``"column-sums"`` fallback), and one stage, the disjunctive form.
+Each partial conflict is one :func:`_transfer.redistribute` unit
+``(conflict, mass, weightings, [conflict])`` with two weightings, the
+destinations' masses, then the components' column sums (a
+``"column-sums"`` fallback); when both are empty the fallback chain starts
+at the conflict's disjunctive form, then the total ignorance.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from ._transfer import _disjunctive_form, u_of
+from ._transfer import u_of
 from .bba import Bba
 from .rules_pcr import _partial_conflicts
 
@@ -43,7 +45,8 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
 
     Destinations whose reallocated mass is zero receive nothing.  When every
     destination has zero mass the conflict falls back to the column sums of
-    its components, then to its disjunctive form.
+    its components, then to its disjunctive form, then to the total
+    ignorance.
     """
     if version not in (VERSION_A, VERSION_B):
         raise ValueError(f"unknown minC version {version!r}")
@@ -54,6 +57,6 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
         return ([(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)]),
                  ("column-sums", [(c, columns[c]) for c in sorted(comps)
                                   if not c.empty and columns.get(c)])],
-                _disjunctive_form(model, [conflict]))
+                [conflict])
 
     return _partial_conflicts(matrix, model or matrix.model, diag, unit)

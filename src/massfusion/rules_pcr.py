@@ -8,11 +8,11 @@ conjunctive masses (PCR4), and finally each individual product term over
 the masses composing it (PCR5: the consensus's non-empty masses plus the
 conflicting terms of the matrix's conflict ledger).
 Each rule only lists its conflict units for :func:`_transfer.redistribute`:
-``(source, mass, weightings, stages)``, where ``weightings`` holds the
+``(source, mass, weightings, elements)``, where ``weightings`` holds the
 rule's proportional weights (and, for PCR4, column sums as a named second
-weighting) and ``stages`` the degenerate-case chain tried when every
-weighting is empty: the disjunctive form, then for PCR3-PCR5 the total
-ignorance, and last θ0 or ∅.
+weighting) and ``elements`` the conflict's columns or components, whose
+disjunctive form heads the fallback chain taken when every weighting is
+empty (then the total ignorance, then θ0 or ∅).
 
 Arithmetic is exact rational throughout, which makes the results
 independent of source order and lets the convergence behaviour of PCR5 be
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._transfer import _disjunctive_form, _ignorance_stages, components, redistribute
+from ._transfer import components, redistribute
 from .bba import Bba, MassMatrix, conflict_ledger, walk_terms
 from .rules_core import _finish, conjunctive
 
@@ -32,8 +32,8 @@ def _total_conflict(matrix, model, diag, involved_only):
     """PCR1/PCR2: the total conflict ``k`` as one unit, split over column sums.
 
     PCR1 weights every column, PCR2 only the columns involved in the
-    conflict; when none of them is non-empty with mass, ``k`` goes to their
-    disjunctive form.
+    conflict; when none of them is non-empty with mass, ``k`` goes down the
+    fallback chain from their disjunctive form.
     """
     nonempty, _, k = conjunctive(matrix, model).reduced()
     units = []
@@ -42,7 +42,7 @@ def _total_conflict(matrix, model, diag, involved_only):
         spread = sorted(conflict_ledger(matrix, model).involved) if involved_only else list(sums)
         cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
         weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
-        units.append(("total-conflict", k, [(None, weighted)], _disjunctive_form(model, spread)))
+        units.append(("total-conflict", k, [(None, weighted)], spread))
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
@@ -64,8 +64,8 @@ def _partial_conflicts(matrix, model, diag, unit):
     """PCR3, PCR4 and minC: one unit per partial conflict.
 
     ``unit(model, conflict, components, nonempty, columns)`` gives the
-    conflict's weightings and stages from its distinct components, the
-    consensus's non-empty masses and the column sums.
+    conflict's weightings and fallback elements from its distinct
+    components, the consensus's non-empty masses and the column sums.
     """
     nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
     columns = matrix.column_sums(model)
@@ -75,9 +75,8 @@ def _partial_conflicts(matrix, model, diag, unit):
 
 
 def _pcr3_unit(model, conflict, comps, nonempty, columns):
-    """The components' column sums, then their ignorances."""
-    return ([(None, [(e, columns[e]) for e in comps if not e.empty and columns.get(e)])],
-            _ignorance_stages(model, comps))
+    """The components' column sums, then the fallback chain from the components."""
+    return [(None, [(e, columns[e]) for e in comps if not e.empty and columns.get(e)])], comps
 
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
@@ -86,19 +85,19 @@ def pcr3(matrix, model=None, diag=None) -> Bba:
 
 
 def _pcr4_unit(model, conflict, comps, nonempty, columns):
-    """Conjunctive masses when every component has one, else column sums; then ignorances."""
+    """Conjunctive masses when every component has one, else column sums, then the fallback chain."""
     live = [e for e in comps if not e.empty]
     masses = len(live) == len(comps) and all(nonempty.get(e) for e in live)
-    return ([(None, [(e, nonempty[e]) for e in live] if masses else []),
-             ("column-sums", [(e, columns[e]) for e in live if columns.get(e)])],
-            _ignorance_stages(model, comps))
+    return [(None, [(e, nonempty[e]) for e in live] if masses else []),
+            ("column-sums", [(e, columns[e]) for e in live if columns.get(e)])], comps
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:
     """PCR4: each partial conflict over its components' conjunctive masses.
 
     As soon as one component has zero conjunctive mass the whole split falls
-    back to column sums, then to the partial ignorance of the components.
+    back to column sums, then to the partial ignorance of the components
+    (their disjunctive form), then to the total ignorance.
     """
     return _partial_conflicts(matrix, model or matrix.model, diag, _pcr4_unit)
 
@@ -122,7 +121,7 @@ def _term_unit(model, term):
     zset = set(term.intersection.clauses)
     dests = [(elem, weight) for elem, weight in groups.items()
              if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
-    return term.factors, term.product, [(None, dests)], _ignorance_stages(model, list(groups))
+    return term.factors, term.product, [(None, dests)], list(groups)
 
 
 def _transfer_term(model, out, term, diag):

@@ -247,6 +247,15 @@ def test_dynamic_emptiness_in_scenario(tmp_path, capsys):
     assert "sum below one" in out
 
 
+def test_table_keeps_the_deficit_line_when_no_focal_element_is_left(tmp_path, capsys):
+    doc = {"frame": ["A", "B", "C"], "model": {"kind": "shafer"},
+           "sources": [{"A": 1.0}, {"B": 1.0}], "dynamic_empty": ["A", "B"]}
+    code, out = run_table(doc, tmp_path, capsys, "--rule", "wao")
+    assert code == 0
+    assert "! wao: sum below one by 1.000000" in out
+    assert "(no results)" not in out
+
+
 def test_precision_flag(tmp_path, capsys):
     code, out = run_table(ZADEH, tmp_path, capsys, "--rule", "pcr5", "--precision", "3")
     assert code == 0
@@ -285,11 +294,14 @@ def exit_code(argv):
     (dict(ZADEH, sources=[{"A": 10 ** 400}, {"B": 0.9, "C": 0.1}]), ["--pcr5", "approx"], "finite"),
     (dict(ZADEH, stream=[{"A": 0.5, "B": 0.5}], dynamic_empty=["C"]), ["--sequential"], "dynamic_empty"),
     (TARGET_STREAM, ["--sequential", "--compare"], "not allowed with"),
+    (ZADEH, ["--rule", "pcr5", "--all"], "--rule: not allowed with argument --all"),
+    (ZADEH, ["--rule", "pcr5", "--compare"], "--rule: not allowed with argument --compare"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
         "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans",
-        "huge-integer-mass", "sequential-dynamic-empty", "sequential-with-compare"])
+        "huge-integer-mass", "sequential-dynamic-empty", "sequential-with-compare",
+        "rule-with-all", "rule-with-compare"])
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, needle):
     assert exit_code([write(tmp_path, doc), *args]) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from massfusion import (
     Bba,
@@ -350,6 +350,31 @@ def test_redistributing_rules_move_exactly_the_conflict(case):
         moved = sum((r.amount for r in diag.records), Fraction(0))
         moved += sum((f.amount for f in diag.fallbacks if f.destination is not None), Fraction(0))
         assert moved == k, (name, opts)
+
+
+@given(matrices_and_fusion_models())
+@settings(max_examples=300, deadline=None)
+def test_redistributing_rules_leave_no_mass_on_empty_elements(case):
+    """While the total ignorance is non-empty, every fallback chain ends before ∅."""
+    m, model = case
+    assume(not model.total_ignorance().empty)
+    for name, opts in CONFLICT_MOVERS:
+        result = run_rule(name, m, model, opts)
+        assert not [e for e, v in result.items() if v > 0 and model.reduce(e).empty], (name, opts)
+
+
+@pytest.mark.parametrize("name, opts", [
+    ("pcr1", RuleOptions()), ("pcr2", RuleOptions()),
+    ("minc", RuleOptions(minc_version="a")), ("minc", RuleOptions(minc_version="b"))])
+def test_conflict_between_vanished_labels_goes_to_the_total_ignorance(name, opts):
+    frame = Frame(["A", "B", "C"])
+    base = Model(frame, SHAFER)
+    fusion = Model(frame, HYBRID, shafer_as_hybrid(frame).constraints
+                   + (frame.singleton("A"), frame.singleton("B")))
+    diag = Diagnostics()
+    result = run_rule(name, matrix(base, {"A": 1.0}, {"B": 1.0}), fusion, opts, diag)
+    assert dict(result.items()) == {fusion.canonical("C"): 1.0}
+    assert [(f.stage, f.amount) for f in diag.fallbacks] == [("total-ignorance", 1)]
 
 
 def test_finish_merges_before_pruning_below_1e_12():
