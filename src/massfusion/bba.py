@@ -11,7 +11,11 @@ at the end; results are the same rationals.
 
 The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
 (:func:`walk_terms`) only lists the conflicting product terms, for the
-:func:`conflict_ledger`.  Each runs at most once per matrix and model.
+:func:`conflict_ledger`.  Each runs at most once per matrix and model.  On
+frames of at most six labels both key products by region set, with ``&``
+and ``|``, and call :mod:`kernels` only to build the clause form of a new
+fold entry or of a conflicting product; on larger (Shafer) frames they
+combine clause tuples through :mod:`kernels` product by product.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import and_, attrgetter, or_
 from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
-from .kernels import absorb_masks, intersect_canon
-from .lattice import CanonicalElement, OPEN
+from .kernels import absorb_masks, intersect_canon, union_canon
+from .lattice import MAX_HYPER_LABELS, OPEN, CanonicalElement
 
 MASS_EPS = 1e-12
 SUM_TOL = 1e-9
@@ -250,10 +255,15 @@ def column_sum(matrix, element, model=None):
     return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
 
 
-def _numerators(src):
-    """A source's masses as integer numerators over their least common denominator."""
+def _numerators(src, regional):
+    """A source's masses as integer numerators over their least common denominator.
+
+    Each entry is ``(key, clauses, numerator)``; the key is the element's
+    region set when ``regional``, else its clause tuple.
+    """
     den = math.lcm(*(v.denominator for v in src.values()))
-    return [(elem.clauses, v.numerator * (den // v.denominator)) for elem, v in src.items()], den
+    return [(elem.regions if regional else elem.clauses, elem.clauses,
+             v.numerator * (den // v.denominator)) for elem, v in src.items()], den
 
 
 def _fold(fracs, combine):
@@ -264,19 +274,33 @@ def _fold(fracs, combine):
     numerators over its own common denominator, so the fold is integer
     multiply-add; every entry becomes one ``Fraction`` over the product of
     those denominators at the end, the same rational as a fold of fractions.
+
+    On a frame of at most six labels the conjunctive and the disjunctive
+    fold key products by region set (:attr:`CanonicalElement.regions`),
+    where ``intersect_canon`` is ``&`` and ``union_canon`` is ``|``, and
+    ``combine`` runs once per key, on the first product that reaches it.
+    Larger frames and any other ``combine`` key products by clause tuple.
     """
-    pairs, den = _numerators(fracs[0])
-    acc = dict(pairs)
+    op = None
+    if all(fracs) and next(iter(fracs[0])).frame.n <= MAX_HYPER_LABELS:
+        op = {intersect_canon: and_, union_canon: or_}.get(combine)
+    regional = op is not None
+    op = op or combine
+    entries, den = _numerators(fracs[0], regional)
+    acc = {key: [clauses, v] for key, clauses, v in entries}
     for src in fracs[1:]:
-        pairs, d = _numerators(src)
+        entries, d = _numerators(src, regional)
         out = {}
-        for ca, va in acc.items():
-            for cb, vb in pairs:
-                key = combine(ca, cb)
-                prev = out.get(key)
-                out[key] = va * vb if prev is None else prev + va * vb
+        for ka, (ca, va) in acc.items():
+            for kb, cb, vb in entries:
+                key = op(ka, kb)
+                entry = out.get(key)
+                if entry is None:
+                    out[key] = [combine(ca, cb) if regional else key, va * vb]
+                else:
+                    entry[1] += va * vb
         acc, den = out, den * d
-    return {key: Fraction(v, den) for key, v in acc.items()}
+    return {clauses: Fraction(v, den) for clauses, v in acc.values()}
 
 
 class RawConjunctive:
@@ -353,22 +377,46 @@ def walk_terms(model, focal_lists):
     depth-first, so each prefix intersection and prefix product is computed
     once and shared by every term that extends it; at the last source a
     product is formed only for a conflicting leaf.
+
+    On a frame of at most six labels a prefix is a region set, and a leaf
+    conflicts when it covers no region the model leaves alive; only then is
+    the clause form of its intersection built, and flagged empty by
+    :meth:`Model.reduce`.  Larger frames intersect clause tuples and ask
+    :meth:`Model.reduce` at every leaf.
     """
+    frame = model.frame
+    if frame.n <= MAX_HYPER_LABELS:
+        live = model._alive
+
+        def conflict(here, factors):
+            if here & live:
+                return None
+            clauses = factors[0][0].clauses
+            for elem, _ in factors[1:]:
+                clauses = intersect_canon(clauses, elem.clauses)
+            return model.reduce(frame.element(clauses))
+
+        key, meet, top = attrgetter("regions"), and_, -1
+    else:
+        def conflict(here, factors):
+            red = model.reduce(frame.element(here))
+            return red if red.empty else None
+
+        key, meet, top = attrgetter("clauses"), intersect_canon, ()
+    keyed = [[(key(item[0]), item) for item in focals] for focals in focal_lists]
     terms = []
-    _walk(model, focal_lists, terms, (), Fraction(1), None)
+    _walk(keyed, meet, conflict, terms, (), Fraction(1), top)
     return terms
 
 
-def _walk(model, focal_lists, terms, factors, product, clauses):
-    frame, depth = model.frame, len(factors)
-    last = depth + 1 == len(focal_lists)
-    for item in focal_lists[depth]:
-        elem, mass = item
-        here = elem.clauses if clauses is None else intersect_canon(clauses, elem.clauses)
+def _walk(keyed, meet, conflict, terms, factors, product, prefix):
+    last = len(factors) + 1 == len(keyed)
+    for key, item in keyed[len(factors)]:
+        here = meet(prefix, key)
         if not last:
-            _walk(model, focal_lists, terms, factors + (item,), product * mass, here)
-        elif (red := model.reduce(frame.element(here))).empty:
-            terms.append(ConflictTerm(factors + (item,), product * mass, red))
+            _walk(keyed, meet, conflict, terms, factors + (item,), product * item[1], here)
+        elif (red := conflict(here, factors + (item,))) is not None:
+            terms.append(ConflictTerm(factors + (item,), product * item[1], red))
 
 
 @dataclass(frozen=True)

@@ -214,16 +214,19 @@ def sequential_fusion(scenario) -> Report:
     kept.  A rule that fails keeps its failed run for the remaining steps.
     The report carries every rule's run after every step.  A step's result
     lives on the fusion model and the stream on the base model, so a
-    scenario with ``dynamic_empty`` is refused.
+    scenario with ``dynamic_empty`` is refused.  The source ``order`` names
+    the initial sources, so the steps, each fusing (prior, observation),
+    run without it.
     """
     if not scenario.stream:
         raise ScenarioError(f"{scenario.path}: sequential mode needs a 'stream'")
     if scenario.fusion_model != scenario.model:
         raise ScenarioError(f"{scenario.path}: sequential mode does not support 'dynamic_empty'")
     runs = run_scenario(scenario).runs
+    step = replace(scenario, options=replace(scenario.options, order=None))
     steps = []
     for obs in scenario.stream:
-        runs = [run if run.error else _execute(run.name, MassMatrix([run.bba, obs]), scenario)
+        runs = [run if run.error else _execute(run.name, MassMatrix([run.bba, obs]), step)
                 for run in runs]
         steps.append(runs)
     return Report(scenario, runs, steps=steps)

@@ -12,7 +12,13 @@ labels in general position there are 2^n - 1 minimal regions, one per
 non-empty label set, and an element is the set of regions it covers, a
 bitmask (Smarandache's codification of the Venn-diagram parts).  One
 constant table per label count gives, for each clause mask, the regions the
-clause meets; both directions between clauses and regions read it.
+clause meets; both directions between clauses and regions read it.  On
+frames of at most six labels every element's free region set
+(:attr:`CanonicalElement.regions`) is read from that table, and every model
+keeps the mask of regions it leaves alive, so the product passes in
+:mod:`bba` intersect and test for emptiness with ``&``.  The parser,
+:meth:`Model.reduce` and the prime forms still work on clause tuples through
+:mod:`kernels`.
 """
 
 from __future__ import annotations
@@ -98,13 +104,21 @@ class CanonicalElement:
     not a model has flagged it.
     """
 
-    __slots__ = ("frame", "clauses", "empty", "_hash")
+    __slots__ = ("frame", "clauses", "empty", "_hash", "_regions")
 
     def __init__(self, frame, clauses, empty=False):
         self.frame = frame
         self.clauses = clauses
         self.empty = empty
         self._hash = hash(clauses)
+        self._regions = None
+
+    @property
+    def regions(self):
+        """The free region set (:func:`region_set`), on frames of at most six labels; computed once."""
+        if self._regions is None:
+            self._regions = region_set(self.clauses, self.frame.n)
+        return self._regions
 
     @property
     def is_theta0(self):
@@ -299,6 +313,23 @@ def _region_table(n):
 
 _REGION_TABLES = {n: _region_table(n) for n in range(1, MAX_HYPER_LABELS + 1)}
 
+
+def region_set(clauses, n):
+    """Bitmask of the minimal regions an element covers on the free lattice of ``n`` labels.
+
+    Region ``r`` (a non-empty label set) is bit ``r - 1``, and the element
+    is the AND of its clauses' rows of the region table, so intersection
+    is ``&`` and union is ``|``.  ∅ is 0.  θ0, the empty clause tuple, is
+    -1: every bit set, the top element under both operations, as ``()`` is
+    for the clause kernels, and distinct from the total ignorance.
+    """
+    table = _REGION_TABLES[n]
+    mask = -1
+    for c in clauses:
+        mask &= table[c]
+    return mask
+
+
 FREE = "free"
 SHAFER = "shafer"
 HYBRID = "hybrid"
@@ -336,7 +367,6 @@ class Model:
             if constraints:
                 raise ValueError("a Shafer model takes no extra constraints")
             self.constraints = ()
-            self._alive = None
         else:
             if frame.n > MAX_HYPER_LABELS:
                 raise CapacityError(
@@ -348,10 +378,24 @@ class Model:
             if kind == FREE and canon:
                 raise ValueError("a free model takes no constraints")
             self.constraints = tuple(sorted(canon))
+        self._alive = self._live_regions() if frame.n <= MAX_HYPER_LABELS else None
+
+    def _live_regions(self):
+        """The regions this model leaves non-empty, as a mask over region sets.
+
+        A Shafer model empties every region of two or more labels; a hybrid
+        model the regions its constraints cover.  The mask is the complement
+        of the emptied regions, so every bit above the frame's regions stays
+        set and θ0 (region set -1) is never empty.
+        """
+        full = _REGION_TABLES[self.frame.n][-1]
+        if self.kind == SHAFER:
+            killed = full & ~sum(1 << ((1 << i) - 1) for i in range(self.frame.n))
+        else:
             killed = 0
             for e in self.constraints:
-                killed |= self._cellmask(e.clauses)
-            self._alive = _REGION_TABLES[frame.n][-1] & ~killed
+                killed |= region_set(e.clauses, self.frame.n)
+        return ~(killed & full)
 
     def _free_element(self, spec):
         if isinstance(spec, CanonicalElement):
@@ -395,22 +439,10 @@ class Model:
             if inter:
                 return frame.element((inter,))
             return frame.element(clauses, empty=True)
-        cells = self._cellmask(clauses) & self._alive
+        cells = region_set(clauses, frame.n) & self._alive
         if not cells:
             return frame.element(clauses, empty=True)
         return frame.element(self._prime_clauses(cells))
-
-    def _cellmask(self, clauses):
-        """Bitmask of the minimal regions covered by the element: those every clause meets.
-
-        Region ``r`` (a non-empty label set) is bit ``r - 1``.  The element
-        is the AND of its clauses' rows of the region table.
-        """
-        table = _REGION_TABLES[self.frame.n]
-        mask = table[-1]
-        for c in clauses:
-            mask &= table[c]
-        return mask
 
     def _prime_clauses(self, cellmask):
         """Reduced conjunctive form of a non-empty region set.

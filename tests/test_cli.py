@@ -236,6 +236,27 @@ def test_rule_variant_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sequential_order_applies_to_the_initial_sources_only(tmp_path, capsys):
+    three = {"frame": ["A", "B"], "model": {"kind": "shafer"},
+             "sources": [{"A": 0.6, "B": 0.3, "A|B": 0.1},
+                          {"A": 0.2, "B": 0.3, "A|B": 0.5},
+                          {"A": 0.4, "B": 0.4, "A|B": 0.2}],
+             "stream": [{"A": 0.3, "B": 0.7}]}
+    path = write(tmp_path, three)
+    flags = ["--rule", "pcr5", "--pcr5", "approx", "--order", "3,2,1", "--format", "machine"]
+    assert main([path, *flags]) == 0
+    initial = json.loads(capsys.readouterr().out)["rules"]["pcr5"]
+    assert initial["order"] == [3, 2, 1]
+    assert main([path, "--sequential", *flags]) == 0
+    step = json.loads(capsys.readouterr().out)["rules"]["pcr5"]
+    # a step fuses (prior, observation): for two sources the approximation is the exact pair rule
+    pair = {"frame": ["A", "B"], "model": {"kind": "shafer"},
+            "sources": [initial["masses"], three["stream"][0]]}
+    assert main([write(tmp_path, pair, "pair.json"), "--rule", "pcr5", "--format", "machine"]) == 0
+    assert step["masses"] == pytest.approx(json.loads(capsys.readouterr().out)["rules"]["pcr5"]["masses"])
+    assert step["order"] == [1, 2]
+
+
 def test_dynamic_emptiness_in_scenario(tmp_path, capsys):
     doc = {"frame": ["A", "B", "C"], "model": {"kind": "shafer"},
            "sources": [{"A": 0.3, "B": 0.4, "C": 0.3}, {"A": 0.5, "B": 0.1, "C": 0.4}],
@@ -436,6 +457,8 @@ def fuzzed_runs(draw):
 
 @given(fuzzed_runs())
 @example(run=(FUZZ_BASES[-1], ["--sequential"]))  # every mutation of it may miss this path
+# its order names three sources, and every sequential step fuses two
+@example(run=(dict(FUZZ_BASES[2], stream=[{"A": 0.4, "B|C": 0.6}]), ["--sequential"]))
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_scenarios_and_flags_exit_0_2_or_3(tmp_path_factory, run):
     doc, args = run

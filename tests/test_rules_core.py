@@ -30,6 +30,7 @@ from massfusion import (
     vacuous_bba,
 )
 from massfusion import bba, registry, rules_classic, rules_core, rules_pcr
+from massfusion.lattice import MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 
 from massfusion import dubois_prade, to_fraction
 from massfusion.cli import scenario_from_dict, sequential_fusion
@@ -38,7 +39,13 @@ from massfusion.rules_classic import _dp_combine
 from massfusion.rules_core import _finish
 
 from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
-from oracles import conjunctive_reference, disjunctive_reference, fraction_fold_reference
+from oracles import (
+    conflict_ledger_reference,
+    conjunctive_reference,
+    disjunctive_reference,
+    fraction_fold_reference,
+    pcr5_reference,
+)
 
 
 @pytest.fixture
@@ -201,6 +208,86 @@ def test_integer_fold_equals_a_fraction_fold(m):
             key = model.reduce(model.frame.element(clauses))
             merged[key] = merged.get(key, Fraction(0)) + v
         assert rule(m) == Bba(model, {k: float(v) for k, v in merged.items()})
+
+
+@st.composite
+def closure_matrices(draw):
+    """2-3 sources on 1-6 labels whose focal elements include θ0 or ∅.
+
+    Every model kind, with θ0 enabled and an open world; these frames key
+    products by region set, where θ0 is -1 and ∅ is 0.  A hybrid model may
+    empty every region.
+    """
+    kind = draw(st.sampled_from([SHAFER, FREE, HYBRID]))
+    n = draw(st.integers(1, MAX_HYPER_LABELS))
+    frame = Frame([chr(ord("A") + i) for i in range(n)])
+    plain = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3).map(
+        lambda masks: frame.element(absorb_masks(masks)))
+    closures = st.sampled_from([frame.theta0(), frame.empty_element()])
+    constraints = draw(st.lists(plain, min_size=1, max_size=2)) if kind == HYBRID else ()
+    model = Model(frame, kind, constraints, world=OPEN, theta0=True)
+    sources = []
+    for _ in range(draw(st.integers(2, 3))):
+        focals = draw(st.lists(st.one_of(closures, plain), min_size=1, max_size=4, unique=True))
+        focals = list(dict.fromkeys([draw(closures), *focals]))
+        weights = draw(st.lists(st.integers(1, 50), min_size=len(focals), max_size=len(focals)))
+        sources.append(Bba(model, {e: Fraction(w, sum(weights)) for e, w in zip(focals, weights)}))
+    return MassMatrix(sources)
+
+
+@given(closure_matrices())
+@settings(max_examples=200, deadline=None)
+def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
+    model, fracs = m.model, m.fractions()
+    reference = {name: fraction_fold_reference(fracs, combine)
+                 for name, combine in (("conjunctive", intersect_canon), ("disjunctive", union_canon))}
+    assert bba._fold(fracs, intersect_canon) == reference["conjunctive"]
+    assert bba._fold(fracs, union_canon) == reference["disjunctive"]
+    assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
+    merged = {}
+    for clauses, v in reference["disjunctive"].items():
+        key = model.reduce(model.frame.element(clauses))
+        merged[key] = merged.get(key, Fraction(0)) + v
+    assert disjunctive(m) == Bba(model, {k: float(v) for k, v in merged.items()})
+    ledger = conflict_ledger(m)
+    terms, partials, k, involved = conflict_ledger_reference(m)
+    assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
+    assert list(ledger.partials.items()) == sorted(partials.items())
+    assert ledger.k == k
+    assert ledger.involved == involved
+
+
+def large_shafer_case(rng, s):
+    """A Shafer model on 7-16 labels, above the region-set frames, and ``s`` exact sources.
+
+    Focal elements have one to three labels, so products often conflict.
+    """
+    n = rng.randint(MAX_HYPER_LABELS + 1, MAX_POWERSET_LABELS)
+    frame = Frame([f"h{i}" for i in range(n)])
+    model = Model(frame, SHAFER)
+    sources = []
+    for _ in range(s):
+        masks = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 3))) for _ in range(4)}
+        weights = [rng.randint(1, 10 ** 6) for _ in masks]
+        sources.append(Bba(model, {frame.element((mask,)): Fraction(w, sum(weights))
+                                   for mask, w in zip(sorted(masks), weights)}))
+    return model, sources
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_rules_on_large_shafer_frames_match_the_references(rng, s):
+    for _ in range(15):
+        model, sources = large_shafer_case(rng, s)
+        tables = [{frozenset(model.frame.mask_str(e.clauses[0]).split("|")): v
+                   for e, v in src.fractions().items()} for src in sources]
+        nonempty, _, k = conjunctive(MassMatrix(sources)).reduced()
+        reference = conjunctive_reference(tables)
+        assert sum((v for key, v in reference.items() if not key), Fraction(0)) == k
+        assert nonempty == {model.canonical("|".join(sorted(key))): v for key, v in reference.items() if key}
+        got = pcr5_multi(MassMatrix(sources))
+        for key, value in pcr5_reference(tables).items():
+            assert got[model.canonical("|".join(sorted(key)))] == pytest.approx(float(value), abs=1e-12)
+        assert got.total() == pytest.approx(1.0, abs=1e-12)
 
 
 # --- one consensus per matrix -------------------------------------------------
