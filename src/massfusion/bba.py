@@ -5,17 +5,20 @@ that summation order can never perturb results.  Masses a user passes in
 snap to small decimals through :func:`to_fraction`.  A rule result is built
 by :meth:`Bba._result`, which rounds each exact mass to a float once, and
 converts back to the exact value of each float, so every step of a
-sequential fusion rounds once.  The fold multiplies and adds integer
-numerators over a common denominator and builds one ``Fraction`` per entry
-at the end; results are the same rationals.
+sequential fusion rounds once.  The folds multiply and add integer
+numerators over a common denominator and build a ``Fraction`` only for what
+is read at the end; results are the same rationals.
 
 The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
 (:func:`walk_terms`) only lists the conflicting product terms, for the
 :func:`conflict_ledger`.  Each runs at most once per matrix and model.  On
 frames of at most six labels both key products by region set, with ``&``
-and ``|``, and call :mod:`kernels` only to build the clause form of a new
-fold entry or of a conflicting product; on larger (Shafer) frames they
-combine clause tuples through :mod:`kernels` product by product.
+and ``|``.  The conjunctive fold keeps integer numerators and names no
+entry: :meth:`RawConjunctive.reduced` merges them by the regions the model
+leaves alive and names each merged element once per model; the free view
+``RawConjunctive.masses`` is built only when read.  The walk calls
+:mod:`kernels` only for a conflicting product.  On larger (Shafer) frames
+both combine clause tuples through :mod:`kernels` product by product.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import and_, attrgetter, or_
+from functools import cached_property, reduce
+from operator import add, and_, attrgetter, or_
 from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
@@ -267,25 +270,30 @@ def _numerators(src, regional):
 
 
 def _fold(fracs, combine):
-    """Fold the sources' exact masses left to right, product by product.
+    """Fold the sources' exact masses left to right, product by product, in integers.
 
     ``combine(a, b)`` maps the clause tuples of two factors to the clause
     tuple that receives their product.  Each source is scaled to integer
     numerators over its own common denominator, so the fold is integer
-    multiply-add; every entry becomes one ``Fraction`` over the product of
-    those denominators at the end, the same rational as a fold of fractions.
+    multiply-add.  Returns ``(entries, den)``: ``entries`` maps each key to
+    ``[clauses, numerator]``, where ``absorb_masks(clauses)`` is the entry's
+    clause tuple and ``Fraction(numerator, den)`` its mass, the same
+    rational as a fold of fractions (:func:`_named` builds that view).
 
     On a frame of at most six labels the conjunctive and the disjunctive
     fold key products by region set (:attr:`CanonicalElement.regions`),
-    where ``intersect_canon`` is ``&`` and ``union_canon`` is ``|``, and
-    ``combine`` runs once per key, on the first product that reaches it.
-    Larger frames and any other ``combine`` key products by clause tuple.
+    where ``intersect_canon`` is ``&`` and ``union_canon`` is ``|``.  An
+    entry keeps the clauses of the first product that reaches it: for the
+    conjunctive fold the factors' clauses, concatenated, whose absorbed form
+    is their intersection, so no entry is named here; for the disjunctive
+    fold ``union_canon`` of the factors.  Larger frames and any other
+    ``combine`` key products by clause tuple.
     """
-    op = None
+    ops = None
     if all(fracs) and next(iter(fracs[0])).frame.n <= MAX_HYPER_LABELS:
-        op = {intersect_canon: and_, union_canon: or_}.get(combine)
-    regional = op is not None
-    op = op or combine
+        ops = {intersect_canon: (and_, add), union_canon: (or_, union_canon)}.get(combine)
+    regional = ops is not None
+    op, clauses_of = ops or (combine, None)
     entries, den = _numerators(fracs[0], regional)
     acc = {key: [clauses, v] for key, clauses, v in entries}
     for src in fracs[1:]:
@@ -296,50 +304,86 @@ def _fold(fracs, combine):
                 key = op(ka, kb)
                 entry = out.get(key)
                 if entry is None:
-                    out[key] = [combine(ca, cb) if regional else key, va * vb]
+                    out[key] = [clauses_of(ca, cb) if regional else key, va * vb]
                 else:
                     entry[1] += va * vb
         acc, den = out, den * d
-    return {clauses: Fraction(v, den) for clauses, v in acc.values()}
+    return acc, den
+
+
+def _named(entries, den, frame):
+    """A fold's entries (:func:`_fold`) as elements mapped to exact masses."""
+    return {frame.element(absorb_masks(clauses)): Fraction(v, den) for clauses, v in entries.values()}
 
 
 class RawConjunctive:
-    """Conjunctive consensus on the free lattice.
+    """Conjunctive consensus on the free lattice, as integer fold entries.
 
-    ``masses`` maps free-canonical clause tuples wrapped as elements to
-    exact rational masses; empty-intersection entries are included, so the
-    total is one.  ``reduced()`` gives the model view: merged non-empty
-    masses, the per-element partial conflicts, and the total conflict.
+    ``reduced()`` gives the model view: merged non-empty masses, the
+    per-element partial conflicts, and the total conflict.  ``masses`` is
+    the free view, built on first read: free-canonical clause tuples wrapped
+    as elements, mapped to exact rational masses, empty-intersection entries
+    included, so the total is one.
     """
 
-    __slots__ = ("model", "masses", "_reduced")
+    __slots__ = ("model", "_entries", "_den", "_masses", "_reduced")
 
-    def __init__(self, model, masses):
+    def __init__(self, model, entries, den):
         self.model = model
-        self.masses = masses
-        self._reduced = None
+        self._entries, self._den = entries, den
+        self._masses = self._reduced = None
+
+    @property
+    def masses(self):
+        if self._masses is None:
+            masses = _named(self._entries, self._den, self.model.frame)
+            self._masses = {k: masses[k] for k in sorted(masses)}
+        return self._masses
 
     def reduced(self):
         """Return ``(nonempty, conflicts, k)`` under the model.
 
         Both maps are keyed by the elements :meth:`Model.reduce` returns; a
         partial conflict keeps its free canonical form, flagged empty.
+        Entries are merged by what the model leaves of their key, with
+        integer adds: on a frame of at most six labels the live regions
+        (``key & Model._alive``), on a larger (Shafer) frame the labels
+        every clause holds, the reduced element's mask (θ0 keeps -1).  0
+        is a conflict.  The model names each merged key once, kept in its
+        reduce cache under that int; conflicts are named one by one.
         """
         if self._reduced is None:
-            nonempty, conflicts = {}, {}
-            for elem, mass in self.masses.items():
-                red = self.model.reduce(elem)
-                accumulate(conflicts if red.empty else nonempty, red, mass)
-            k = sum(conflicts.values(), Fraction(0))
+            model, den = self.model, self._den
+            frame, names = model.frame, model._reduce_cache
+            if frame.n <= MAX_HYPER_LABELS:
+                live = model._alive.__and__
+            else:
+                live = lambda clauses: reduce(and_, clauses, -1)
+            groups, conflicts, k = {}, {}, 0
+            for key, (clauses, v) in self._entries.items():
+                here = live(key)
+                if not here:
+                    conflicts[model.reduce(frame.element(absorb_masks(clauses)))] = Fraction(v, den)
+                    k += v
+                elif (group := groups.get(here)) is None:
+                    groups[here] = [clauses, v]
+                else:
+                    group[1] += v
+            nonempty = {}
+            for here, (clauses, v) in groups.items():
+                elem = names.get(here)
+                if elem is None:
+                    elem = names[here] = model.reduce(frame.element(absorb_masks(clauses)))
+                nonempty[elem] = Fraction(v, den)
             self._reduced = (
                 {e: nonempty[e] for e in sorted(nonempty)},
                 {e: conflicts[e] for e in sorted(conflicts)},
-                k,
+                Fraction(k, den),
             )
         return self._reduced
 
     def total(self):
-        return sum(self.masses.values(), Fraction(0))
+        return Fraction(sum(v for _, v in self._entries.values()), self._den)
 
 
 def conjunctive(matrix, model=None) -> RawConjunctive:
@@ -352,10 +396,7 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     model = model or matrix.model
     raw = matrix._consensus.get(model)
     if raw is None:
-        frame = model.frame
-        acc = _fold(matrix.fractions(), intersect_canon)
-        masses = {frame.element(c): v for c, v in acc.items()}
-        raw = matrix._consensus[model] = RawConjunctive(model, {k: masses[k] for k in sorted(masses)})
+        raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.fractions(), intersect_canon))
     return raw
 
 

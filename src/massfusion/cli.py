@@ -28,8 +28,12 @@ from dataclasses import dataclass, field, replace
 
 from .bba import Bba, MassMatrix, validate_bba
 from .diagnostics import Diagnostics
-from .errors import BeliefFusionError, ScenarioError, TotalConflictError
-from .lattice import CLOSED, FREE, HYBRID, Model, SHAFER, Frame, shafer_as_hybrid
+from .errors import (
+    BeliefFusionError, CapacityError, ExprSyntaxError, ScenarioError, TotalConflictError, UnknownLabelError,
+)
+from .lattice import (
+    CLOSED, FREE, HYBRID, MAX_HYPER_LABELS, SHAFER, Frame, Model, free_clauses, parse_expr, shafer_as_hybrid,
+)
 from .registry import RULE_ORDER, RuleOptions, run_rule
 from .rules_core import conjunctive
 
@@ -108,6 +112,17 @@ def _tables(doc, key, path):
     return tables
 
 
+def _constraints(frame, texts, where, path):
+    """Constraint expressions as free elements; a bad one is named by its field and entry."""
+    elements = []
+    for i, text in enumerate(texts):
+        try:
+            elements.append(frame.element(free_clauses(parse_expr(text, frame), frame)))
+        except (UnknownLabelError, ExprSyntaxError) as exc:
+            raise ScenarioError(f"{path}: {where} entry {i + 1}: {exc}") from None
+    return elements
+
+
 def scenario_from_dict(doc, path="<scenario>", overrides=None):
     overrides = overrides or {}
     if not isinstance(doc, dict):
@@ -115,7 +130,10 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
     try:
         if "frame" not in doc:
             raise ScenarioError(f"{path}: missing field 'frame'")
-        frame = Frame(_strings(doc, "frame", path))
+        try:
+            frame = Frame(_strings(doc, "frame", path))
+        except CapacityError as exc:
+            raise ScenarioError(f"{path}: frame: {exc}") from None
         mspec = _object(doc, "model", path)
         kind = mspec.get("kind", "shafer")
         if kind not in (FREE, SHAFER, HYBRID):
@@ -127,19 +145,24 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
             model = Model(
                 frame,
                 kind,
-                _strings(mspec, "empty", path),
+                _constraints(frame, _strings(mspec, "empty", path), "model.empty", path),
                 world=mspec.get("world", CLOSED),
                 theta0=theta0,
             )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-        dynamic = _strings(doc, "dynamic_empty", path)
+        except (ValueError, CapacityError) as exc:
+            raise ScenarioError(f"{path}: model: {exc}") from None
+        dynamic = _constraints(frame, _strings(doc, "dynamic_empty", path), "dynamic_empty", path)
         if dynamic:
-            base = shafer_as_hybrid(frame) if model.kind == SHAFER else model
-            fusion_model = Model(
-                frame, HYBRID, base.constraints + tuple(dynamic),
-                world=model.world, theta0=model.theta0_enabled,
-            )
+            try:
+                base = shafer_as_hybrid(frame) if model.kind == SHAFER else model
+                fusion_model = Model(
+                    frame, HYBRID, base.constraints + tuple(dynamic),
+                    world=model.world, theta0=model.theta0_enabled,
+                )
+            except CapacityError as exc:
+                raise ScenarioError(
+                    f"{path}: dynamic_empty needs a frame of at most {MAX_HYPER_LABELS} labels: {exc}"
+                ) from None
         else:
             fusion_model = model
         raw_sources = _tables(doc, "sources", path)

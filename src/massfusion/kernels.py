@@ -9,12 +9,14 @@ smaller integer value, so scanning masks in ascending order finds every
 absorber before its victims.
 
 On frames of at most six labels the product passes in :mod:`bba` key by
-region set and call these kernels only to name a new fold entry or a
-conflicting product.  They still do all the clause work of the expression
-parser and the model's prime forms (:mod:`lattice`), of the folds and the
-walk on Shafer frames of 7-16 labels, of the Dubois-Prade fold, and of the
-ledger's involved elements; the test oracles and the benchmark's tracer
-use them too.
+region set and call these kernels only to name an entry of the disjunctive
+fold, a conflicting product, or an element of the conjunctive consensus
+once its entries are merged under a model (:func:`absorb_masks` of the
+first product's concatenated clauses).  They still do all the clause work
+of the expression parser and the model's prime forms (:mod:`lattice`), of
+the folds and the walk on Shafer frames of 7-16 labels, of the
+Dubois-Prade fold, and of the ledger's involved elements; the test oracles
+and the benchmark's tracer use them too.
 """
 
 BACKEND = "pure"

@@ -362,6 +362,8 @@ class Model:
         self.kind = kind
         self.world = world
         self.theta0_enabled = bool(theta0)
+        # clause tuple -> reduced element; under int keys, the element each merged
+        # key of the conjunctive consensus names (bba.RawConjunctive.reduced)
         self._reduce_cache = {}
         if kind == SHAFER:
             if constraints:

@@ -21,7 +21,7 @@ from ._transfer import add, redistribute
 from .bba import Bba, accumulate, conflict_ledger, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
-from .rules_core import _finish, _fold, conjunctive
+from .rules_core import _finish, _fold, _named, conjunctive
 from .rules_pcr import pcr1
 
 _K_ONE_TOL = Fraction(1, 10 ** 12)
@@ -83,11 +83,11 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     the result order-dependent (the rule is not associative).
     """
     model = model or matrix.model
-    acc = _fold(matrix.fractions(), _dp_combine(model))
+    entries, den = _fold(matrix.fractions(), _dp_combine(model))
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
-    return _finish(model, {model.frame.element(c): v for c, v in acc.items()})
+    return _finish(model, _named(entries, den, model.frame))
 
 
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:

@@ -10,7 +10,7 @@ conflict ledger that reads it; it is re-exported here.
 
 from __future__ import annotations
 
-from .bba import Bba, RawConjunctive, _fold, accumulate, conjunctive
+from .bba import Bba, RawConjunctive, _fold, _named, accumulate, conjunctive
 from .kernels import union_canon
 
 
@@ -35,5 +35,4 @@ def disjunctive(matrix, model=None) -> Bba:
     set never receives mass.
     """
     model = model or matrix.model
-    acc = _fold(matrix.fractions(), union_canon)
-    return _finish(model, {model.frame.element(c): v for c, v in acc.items()})
+    return _finish(model, _named(*_fold(matrix.fractions(), union_canon), model.frame))

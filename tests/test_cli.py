@@ -329,6 +329,29 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, nee
     assert needle in err and "Traceback" not in err
 
 
+SEVEN = [chr(ord("A") + i) for i in range(7)]
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(ZADEH, model={"kind": "hybrid", "empty": ["A&B", "Z"]}),
+     "model.empty entry 2: unknown label 'Z' (at offset 0)"),
+    (dict(ZADEH, model={"kind": "hybrid", "empty": ["A&"]}),
+     "model.empty entry 1: expected a label or '(' (at offset 2)"),
+    (dict(ZADEH, dynamic_empty=["C", "B&Z"]), "dynamic_empty entry 2: unknown label 'Z' (at offset 2)"),
+    (dict(ZADEH, dynamic_empty=["(A|B"]), "dynamic_empty entry 1: expected ')' (at offset 4)"),
+    (dict(ZADEH, frame=SEVEN, model={"kind": "free"}),
+     "model: hyper-power-set models are limited to 6 labels"),
+    (dict(ZADEH, frame=SEVEN, dynamic_empty=["C"]),
+     "dynamic_empty needs a frame of at most 6 labels: hyper-power-set models are limited to 6 labels"),
+    (dict(ZADEH, frame=["A", "A"]), "frame: frame labels must be distinct"),
+], ids=["empty-label", "empty-syntax", "dynamic-label", "dynamic-syntax", "free-seven-labels",
+        "dynamic-seven-labels", "repeated-label"])
+def test_constraint_errors_name_the_scenario_and_the_field(tmp_path, capsys, doc, message):
+    path = write(tmp_path, doc)
+    assert exit_code([path, "--all"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_compare_leaves_the_scenario_rules_alone(tmp_path):
     scenario = load_scenario(write(tmp_path, dict(ZADEH, rules=["pcr5"])))
     report = compare_rules(scenario)

@@ -192,6 +192,12 @@ def mixed_denominator_matrices(draw):
     return MassMatrix(sources)
 
 
+def fold_fractions(fracs, combine):
+    """``bba._fold``'s integer entries as clause tuples mapped to exact masses."""
+    entries, den = bba._fold(fracs, combine)
+    return {absorb_masks(clauses): Fraction(v, den) for clauses, v in entries.values()}
+
+
 @given(mixed_denominator_matrices())
 @settings(max_examples=200, deadline=None)
 def test_integer_fold_equals_a_fraction_fold(m):
@@ -200,7 +206,7 @@ def test_integer_fold_equals_a_fraction_fold(m):
                 "dubois_prade": _dp_combine(model)}
     reference = {name: fraction_fold_reference(fracs, combine) for name, combine in combines.items()}
     for name, combine in combines.items():
-        assert bba._fold(fracs, combine) == reference[name]
+        assert fold_fractions(fracs, combine) == reference[name]
     assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
     for name, rule in (("disjunctive", disjunctive), ("dubois_prade", dubois_prade)):
         merged = {}
@@ -241,8 +247,8 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     model, fracs = m.model, m.fractions()
     reference = {name: fraction_fold_reference(fracs, combine)
                  for name, combine in (("conjunctive", intersect_canon), ("disjunctive", union_canon))}
-    assert bba._fold(fracs, intersect_canon) == reference["conjunctive"]
-    assert bba._fold(fracs, union_canon) == reference["disjunctive"]
+    assert fold_fractions(fracs, intersect_canon) == reference["conjunctive"]
+    assert fold_fractions(fracs, union_canon) == reference["disjunctive"]
     assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
     merged = {}
     for clauses, v in reference["disjunctive"].items():
@@ -255,6 +261,71 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     assert list(ledger.partials.items()) == sorted(partials.items())
     assert ledger.k == k
     assert ledger.involved == involved
+
+
+def reduced_reference(m, model):
+    """``conjunctive(m, model).reduced()`` from the Fraction fold, merged under a fresh twin of ``model``."""
+    twin = Model(model.frame, model.kind, model.constraints, model.world, model.theta0_enabled)
+    nonempty, conflicts = {}, {}
+    for clauses, v in fraction_fold_reference(m.fractions(), intersect_canon).items():
+        red = twin.reduce(twin.frame.element(clauses))
+        side = conflicts if red.empty else nonempty
+        side[red] = side.get(red, Fraction(0)) + v
+    return ({e: nonempty[e] for e in sorted(nonempty)}, {e: conflicts[e] for e in sorted(conflicts)},
+            sum(conflicts.values(), Fraction(0)))
+
+
+def listed(reduced):
+    """A ``reduced()`` triple with its maps as item lists, so that key order counts."""
+    nonempty, conflicts, k = reduced
+    return list(nonempty.items()), list(conflicts.items()), k
+
+
+@given(st.one_of(mixed_denominator_matrices(), closure_matrices()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduced_merges_the_integer_fold_like_the_reference(m, data):
+    """Two models on one frame, interleaved: each names the merged entries under its own constraints."""
+    frame = m.model.frame
+    kind = data.draw(st.sampled_from([SHAFER, FREE, HYBRID]))
+    constraints = data.draw(st.lists(
+        st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=3).map(
+            lambda masks: frame.element(absorb_masks(masks))),
+        min_size=1, max_size=2)) if kind == HYBRID else ()
+    other = Model(frame, kind, constraints, m.model.world, m.model.theta0_enabled)
+    assume(other != m.model)
+    for model in (m.model, other, m.model, other):
+        nonempty, conflicts, k = got = conjunctive(MassMatrix(m.sources), model).reduced()
+        assert listed(got) == listed(reduced_reference(m, model))
+        assert not any(e.empty for e in nonempty) and all(e.empty for e in conflicts)
+        assert all(e.frame == frame for e in [*nonempty, *conflicts])  # names print with its labels
+
+
+def test_a_long_lived_hybrid_model_fuses_a_stream_like_fresh_models(rng):
+    """Twelve steps through every rule on one model equal the same steps on a fresh model each."""
+    frame = Frame(list("ABCDE"))
+    constraints = ("A&B", "C&D&E")
+    model = Model(frame, HYBRID, constraints)
+
+    def table():
+        focals, size = {frame.total_ignorance()}, rng.randint(3, 7)  # ΘI keeps total conflict away
+        while len(focals) < size:
+            elem = frame.element(absorb_masks(rng.sample(range(1, 32), rng.randint(1, 2))))
+            if not model.reduce(elem).empty:
+                focals.add(elem)
+        weights = [rng.randint(1, 10 ** 6) for _ in focals]
+        return {e: Fraction(w, sum(weights)) for e, w in zip(sorted(focals), weights)}
+
+    initial = table()
+    kept = dict.fromkeys(RULES, Bba(model, initial))
+    fresh = dict.fromkeys(RULES, initial)
+    for _ in range(12):
+        observation = table()
+        for name in RULES:
+            got = run_rule(name, MassMatrix([kept[name], Bba(model, observation)]), model)
+            twin = Model(frame, HYBRID, constraints)
+            want = run_rule(name, MassMatrix([Bba(twin, fresh[name]), Bba(twin, observation)]), twin)
+            assert got.masses == want.masses and list(got) == list(want), name
+            kept[name], fresh[name] = got, want.fractions()
 
 
 def large_shafer_case(rng, s):
@@ -280,7 +351,8 @@ def test_rules_on_large_shafer_frames_match_the_references(rng, s):
         model, sources = large_shafer_case(rng, s)
         tables = [{frozenset(model.frame.mask_str(e.clauses[0]).split("|")): v
                    for e, v in src.fractions().items()} for src in sources]
-        nonempty, _, k = conjunctive(MassMatrix(sources)).reduced()
+        nonempty, _, k = got = conjunctive(MassMatrix(sources)).reduced()
+        assert listed(got) == listed(reduced_reference(MassMatrix(sources), model))
         reference = conjunctive_reference(tables)
         assert sum((v for key, v in reference.items() if not key), Fraction(0)) == k
         assert nonempty == {model.canonical("|".join(sorted(key))): v for key, v in reference.items() if key}
