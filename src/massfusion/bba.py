@@ -10,23 +10,27 @@ numerators over a common denominator and build a ``Fraction`` only for what
 is read at the end; results are the same rationals.
 
 The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
-(:func:`walk_terms`) only lists the conflicting product terms, for the
-:func:`conflict_ledger`.  Each runs at most once per matrix and model.  On
-frames of at most six labels both key products by region set, with ``&``
-and ``|``.  The conjunctive fold keeps integer numerators and names no
-entry: :meth:`RawConjunctive.reduced` merges them by the regions the model
-leaves alive and names each merged element once per model; the free view
-``RawConjunctive.masses`` is built only when read.  The walk calls
-:mod:`kernels` only for a conflicting product.  On larger (Shafer) frames
-both combine clause tuples through :mod:`kernels` product by product.
+(:func:`walk_terms`) only lists the conflicting product terms, for PCR5's
+:func:`conflict_ledger`, and no other rule walks.  Each runs at most once
+per matrix and model.  PCR2's involved elements (:func:`involved`) come
+from folds of the sources' keys alone.  The fold keys products by region
+set on frames of at most six labels, with ``&`` and ``|``, and keeps
+integer numerators and names no entry: :meth:`RawConjunctive.reduced`
+merges them by what the model leaves alive and names each merged element
+once per model; the free view ``RawConjunctive.masses`` is built only when
+read.  The model-side passes (``reduced()``, the walk and
+:func:`involved`) take their keys, intersection and emptiness test from
+one place, :func:`_keying`: region sets on frames of at most six labels,
+clause tuples on larger (Shafer) frames.  The walk builds a clause form
+only for a conflicting product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, and_, attrgetter, or_
 from types import MappingProxyType
 
@@ -311,6 +315,27 @@ def _fold(fracs, combine):
     return acc, den
 
 
+def _keying(model):
+    """How the model-side passes key, intersect and test elements: ``(key, meet, top, live)``.
+
+    ``key(element)`` is the element's key, ``meet`` intersects two keys,
+    ``top`` is the key of θ0 (the unit of ``meet``), and ``live(key)`` is 0
+    exactly when the element is empty under ``model``, and equal for
+    elements the model identifies.  On a frame of at most six labels a key
+    is the free region set, ``meet`` is ``&`` and ``live`` keeps the
+    regions the model leaves alive.  On a larger (Shafer) frame a key is
+    the clause tuple and ``live`` the labels every clause holds: the
+    reduced element's mask (θ0 keeps -1).
+    """
+    if model.frame.n <= MAX_HYPER_LABELS:
+        return attrgetter("regions"), and_, -1, model._alive.__and__
+    return attrgetter("clauses"), intersect_canon, (), _common_labels
+
+
+def _common_labels(clauses):
+    return reduce(and_, clauses, -1)
+
+
 def _named(entries, den, frame):
     """A fold's entries (:func:`_fold`) as elements mapped to exact masses."""
     return {frame.element(absorb_masks(clauses)): Fraction(v, den) for clauses, v in entries.values()}
@@ -355,10 +380,7 @@ class RawConjunctive:
         if self._reduced is None:
             model, den = self.model, self._den
             frame, names = model.frame, model._reduce_cache
-            if frame.n <= MAX_HYPER_LABELS:
-                live = model._alive.__and__
-            else:
-                live = lambda clauses: reduce(and_, clauses, -1)
+            live = _keying(model)[3]
             groups, conflicts, k = {}, {}, 0
             for key, (clauses, v) in self._entries.items():
                 here = live(key)
@@ -410,40 +432,25 @@ class ConflictTerm:
 
 
 def walk_terms(model, focal_lists):
-    """Every product of one focal element per source that is empty under ``model``.
+    """Every product of one focal element per source that is empty under ``model``: PCR5's terms.
 
     ``focal_lists`` holds each source's (element, exact mass) pairs in
     element order, such as ``src.fractions().items()``.  Returns the
     :class:`ConflictTerm` values in lexicographic factor order.  The walk is
-    depth-first, so each prefix intersection and prefix product is computed
-    once and shared by every term that extends it; at the last source a
-    product is formed only for a conflicting leaf.
-
-    On a frame of at most six labels a prefix is a region set, and a leaf
-    conflicts when it covers no region the model leaves alive; only then is
-    the clause form of its intersection built, and flagged empty by
-    :meth:`Model.reduce`.  Larger frames intersect clause tuples and ask
-    :meth:`Model.reduce` at every leaf.
+    depth-first over the keys of :func:`_keying`, so each prefix
+    intersection and prefix product is computed once and shared by every
+    term that extends it; at the last source a product is formed only for
+    a conflicting leaf, one that the model leaves nothing alive of.  Only
+    there is the clause form of its intersection built, as the absorbed
+    concatenation of its factors' clauses, and flagged empty by
+    :meth:`Model.reduce`.
     """
-    frame = model.frame
-    if frame.n <= MAX_HYPER_LABELS:
-        live = model._alive
+    key, meet, top, live = _keying(model)
 
-        def conflict(here, factors):
-            if here & live:
-                return None
-            clauses = factors[0][0].clauses
-            for elem, _ in factors[1:]:
-                clauses = intersect_canon(clauses, elem.clauses)
-            return model.reduce(frame.element(clauses))
+    def conflict(here, factors):
+        if not live(here):
+            return model.reduce(model.frame.element(absorb_masks([c for e, _ in factors for c in e.clauses])))
 
-        key, meet, top = attrgetter("regions"), and_, -1
-    else:
-        def conflict(here, factors):
-            red = model.reduce(frame.element(here))
-            return red if red.empty else None
-
-        key, meet, top = attrgetter("clauses"), intersect_canon, ()
     keyed = [[(key(item[0]), item) for item in focals] for focals in focal_lists]
     terms = []
     _walk(keyed, meet, conflict, terms, (), Fraction(1), top)
@@ -460,39 +467,40 @@ def _walk(keyed, meet, conflict, terms, factors, product, prefix):
             terms.append(ConflictTerm(factors + (item,), product * item[1], red))
 
 
+def involved(model, focal_lists):
+    """PCR2's elements involved in the conflict, from keys alone.
+
+    ``focal_lists`` holds each source's focal elements, such as
+    ``src.fractions()``.  A focal element X of source i that is non-empty
+    under ``model`` is involved when some conflicting product puts it at
+    position i and it does not include the intersection R of the other
+    factors.  The R range over a fold of the other sources' keys
+    (:func:`_keying`), with no masses, so no product term is listed: X is
+    involved when ``meet(X, R)`` is empty and differs from R.
+    """
+    key, meet, top, live = _keying(model)
+    keyed = [[(key(elem), elem) for elem in focals] for focals in focal_lists]
+    out = set()
+    for i, focals in enumerate(keyed):
+        rests = {top}
+        for other in keyed[:i] + keyed[i + 1:]:
+            rests = {meet(rest, k) for rest in rests for k, _ in other}
+        out.update(elem for k, elem in focals if live(k) and any(
+            not live(here := meet(k, rest)) and here != rest for rest in rests))
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class ConflictLedger:
-    """Total conflict broken down by product terms and partial conflicts."""
+    """PCR5's conflicting product terms, with the total conflict and its partial conflicts."""
 
     terms: tuple
     partials: dict  # free-canonical empty intersection -> summed mass
     k: Fraction
-    model: object = field(repr=False, compare=False)
-
-    @cached_property
-    def involved(self):
-        """Elements involved in the conflict, computed on first read.
-
-        An element is involved when it occurs as a non-empty factor of some
-        conflict term and does not include the intersection of the
-        remaining factors of that term: the absorbed union of their clauses.
-        """
-        model = self.model
-        frame = model.frame
-        out = set()
-        for term in self.terms:
-            for i, (elem, _) in enumerate(term.factors):
-                if model.reduce(elem).empty:
-                    continue
-                rest = absorb_masks([c for j, (other, _) in enumerate(term.factors)
-                                     if j != i for c in other.clauses])
-                if not elem.contains(frame.element(rest)):
-                    out.add(elem)
-        return frozenset(out)
 
 
 def conflict_ledger(matrix, model=None):
-    """Every product of source focal elements whose intersection is empty.
+    """Every product of source focal elements whose intersection is empty, for PCR5.
 
     The partial conflicts and ``k`` are the matrix's conjunctive consensus;
     the terms come from one :func:`walk_terms` pass, made only when there
@@ -504,5 +512,5 @@ def conflict_ledger(matrix, model=None):
             raise ValueError("conflict needs at least two sources")
         _, partials, k = conjunctive(matrix, model).reduced()
         terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
-        matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k, model)
+        matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k)
     return matrix._ledgers[model]

@@ -38,6 +38,9 @@ from .registry import RULE_ORDER, RuleOptions, run_rule
 from .rules_core import conjunctive
 
 COINCIDE_TOL = 1e-9
+# Largest --precision: a float carries about 17 significant digits, and a
+# table cell is as wide as its precision.
+MAX_PRECISION = 100
 
 
 @dataclass
@@ -180,7 +183,8 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
                 stream.append(validate_bba(Bba(model, table)))
             except BeliefFusionError as exc:
                 raise ScenarioError(f"{path}: stream entry {i + 1}: {exc}") from exc
-        rules = overrides.get("rules") or _strings(doc, "rules", path) or list(RULE_ORDER)
+        # a rule named twice runs once, where it is first named
+        rules = list(dict.fromkeys(overrides.get("rules") or _strings(doc, "rules", path) or RULE_ORDER))
         for r in rules:
             if r not in RULE_ORDER:
                 raise ScenarioError(f"{path}: unknown rule {r!r}")
@@ -203,7 +207,7 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
             raise ScenarioError(f"{path}: wao_mode must be 'static' or 'dynamic'")
         if options.pcr5_variant not in ("exact", "approx"):
             raise ScenarioError(f"{path}: pcr5 must be 'exact' or 'approx'")
-        return Scenario(frame, model, fusion_model, sources, stream, list(rules), options, path)
+        return Scenario(frame, model, fusion_model, sources, stream, rules, options, path)
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing field {exc}") from None
 
@@ -395,8 +399,8 @@ def _order(text):
 
 
 def _precision(text):
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if not text.isdigit() or int(text) > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"expected an integer from 0 to {MAX_PRECISION}, got {text!r}")
     return int(text)
 
 

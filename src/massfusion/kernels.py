@@ -14,9 +14,9 @@ fold, a conflicting product, or an element of the conjunctive consensus
 once its entries are merged under a model (:func:`absorb_masks` of the
 first product's concatenated clauses).  They still do all the clause work
 of the expression parser and the model's prime forms (:mod:`lattice`), of
-the folds and the walk on Shafer frames of 7-16 labels, of the
-Dubois-Prade fold, and of the ledger's involved elements; the test oracles
-and the benchmark's tracer use them too.
+the folds, the walk and PCR2's involved elements on Shafer frames of 7-16
+labels, of the Dubois-Prade fold, and of hybrid DSm's fold over empty
+focal elements; the test oracles and the benchmark's tracer use them too.
 """
 
 BACKEND = "pure"

@@ -9,8 +9,11 @@ flavors of weighted averaging) reallocates it by per-element coefficients.
 Yager and the hybrid DSm rule give :func:`_transfer.redistribute` units
 ``(source, mass, [], elements)`` with no weightings, so each goes straight
 down the fallback chain: Yager's total conflict names no elements and
-starts at the total ignorance, and each conflicting product term of the
-hybrid rule names the elements whose disjunctive form comes first.
+starts at the total ignorance.  The hybrid rule reads no product terms:
+each partial conflict of the consensus is one unit naming itself, less
+the products whose factors are all empty.  One fold over the sources'
+empty focal elements finds those, and each (partial conflict, union of the
+factors' labels) pair becomes one unit naming that union.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import add, redistribute
-from .bba import Bba, accumulate, conflict_ledger, to_fraction
+from .bba import Bba, _keying, accumulate, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import intersect_canon, union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
@@ -90,6 +93,26 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     return _finish(model, _named(entries, den, model.frame))
 
 
+def _all_empty_products(matrix, model):
+    """Products whose factors are all empty under ``model``, as hybrid DSm needs them.
+
+    One fold over each source's empty focal elements, keyed by the product's
+    free intersection (a clause tuple) and the union of its factors' labels
+    (a mask); it empties out at the first source with none.
+    """
+    key, _, _, live = _keying(model)
+    acc = {((), 0): Fraction(1)}
+    for src in matrix.fractions():
+        empty = [(elem.clauses, elem.labels_mask(), vb) for elem, vb in src.items() if not live(key(elem))]
+        out = {}
+        for (clauses, mask), va in acc.items():
+            for c, labels, vb in empty:
+                accumulate(out, (intersect_canon(clauses, c), mask | labels), va * vb)
+        if not (acc := out):
+            break
+    return acc
+
+
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     """The hybrid DSm rule under an arbitrary model.
 
@@ -99,15 +122,19 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     intersection goes to the disjunctive form of its canonical conflict.
     When everything collapses, full mass lands on ∅ (or θ0 when the closure
     hypothesis is enabled), signalling that the problem has no solution.
+
+    No product term is listed: each partial conflict of the consensus moves
+    as one unit, less its all-empty products, which move as one unit per
+    label union (:func:`_all_empty_products`).
     """
     model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    units = []
-    for term in conflict_ledger(matrix, model).terms if k else ():
-        factors = [e for e, _ in term.factors]
-        if not all(model.reduce(e).empty for e in factors):
-            factors = [term.intersection]
-        units.append((term.intersection, term.product, [], factors))
+    nonempty, conflicts, k = conjunctive(matrix, model).reduced()
+    rest, units = dict(conflicts), []
+    for (clauses, mask), mass in sorted(_all_empty_products(matrix, model).items()) if k else ():
+        conflict = model.reduce(model.frame.element(clauses))
+        rest[conflict] -= mass
+        units.append((conflict, mass, [], [model.frame.element((mask,))]))
+    units += [(conflict, mass, [], [conflict]) for conflict, mass in rest.items() if mass]
     out = redistribute(model, dict(nonempty), units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")

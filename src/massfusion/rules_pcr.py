@@ -6,7 +6,8 @@ conflict over all columns (PCR1), over the columns involved in the conflict
 (PCR2), each partial conflict over its components' columns (PCR3) or their
 conjunctive masses (PCR4), and finally each individual product term over
 the masses composing it (PCR5: the consensus's non-empty masses plus the
-conflicting terms of the matrix's conflict ledger).
+conflicting terms of the matrix's conflict ledger, the only rule that walks
+the product terms).
 Each rule only lists its conflict units for :func:`_transfer.redistribute`:
 ``(source, mass, weightings, elements)``, where ``weightings`` holds the
 rule's proportional weights (and, for PCR4, column sums as a named second
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import components, redistribute
-from .bba import Bba, MassMatrix, conflict_ledger, walk_terms
+from .bba import Bba, MassMatrix, conflict_ledger, involved, walk_terms
 from .rules_core import _finish, conjunctive
 
 
@@ -39,7 +40,7 @@ def _total_conflict(matrix, model, diag, involved_only):
     units = []
     if k:
         sums = matrix.column_sums(model)
-        spread = sorted(conflict_ledger(matrix, model).involved) if involved_only else list(sums)
+        spread = sorted(involved(model, matrix.fractions())) if involved_only else list(sums)
         cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
         weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
         units.append(("total-conflict", k, [(None, weighted)], spread))
@@ -56,7 +57,13 @@ def pcr1(matrix, model=None, diag=None) -> Bba:
 
 
 def pcr2(matrix, model=None, diag=None) -> Bba:
-    """PCR2: total conflict over the columns involved in the conflict."""
+    """PCR2: total conflict over the columns involved in the conflict.
+
+    A focal element is involved when it is non-empty and some conflicting
+    product holds it without it including the intersection of the other
+    factors; :func:`bba.involved` finds these from the sources' keys,
+    without listing the product terms.
+    """
     return _total_conflict(matrix, model or matrix.model, diag, involved_only=True)
 
 
@@ -155,8 +162,8 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
     Each non-zero conflicting product is redistributed within itself: the
     factors pointing at one element pool their masses multiplicatively and
     the term splits over those pooled weights.  The non-empty products come
-    from the matrix's conjunctive consensus and the conflicting terms from
-    its conflict ledger, both shared with the other rules on the matrix.
+    from the matrix's conjunctive consensus, shared with the other rules on
+    the matrix, and the conflicting terms from its conflict ledger.
     """
     model = model or matrix.model
     return _finish(model, _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag))

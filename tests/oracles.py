@@ -235,11 +235,13 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
 def fraction_fold_reference(fracs, combine):
     """The sources' masses folded left to right in plain ``Fraction`` arithmetic.
 
-    Same contract as the package's fold: ``fracs`` holds one mapping of
-    elements to exact masses per source, ``combine(a, b)`` maps two clause
-    tuples to the clause tuple receiving their product, and the result maps
-    clause tuples to summed masses.  Every product and sum is a ``Fraction``
-    operation; no common denominator is taken.
+    Takes the package fold's arguments: ``fracs`` holds one mapping of
+    elements to exact masses per source, and ``combine(a, b)`` maps two
+    clause tuples to the clause tuple receiving their product.  Returns
+    clause tuples mapped to summed masses.  The package's ``_fold`` instead
+    returns integer entries over one common denominator, so tests compare
+    with it after naming its entries.  Every product and sum here is a
+    ``Fraction`` operation; no common denominator is taken.
     """
     acc = {elem.clauses: mass for elem, mass in fracs[0].items()}
     for src in fracs[1:]:

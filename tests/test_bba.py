@@ -19,6 +19,7 @@ from massfusion import (
     vacuous_bba,
     validate_bba,
 )
+from massfusion import bba
 
 from conftest import exact_matrices, random_shafer_case
 from oracles import conflict_ledger_reference
@@ -155,27 +156,28 @@ def test_ledger_totals_agree_exactly(rng):
 def test_involved_elements_appear_in_terms(rng):
     for _ in range(40):
         model, sources = random_shafer_case(rng)
-        ledger = conflict_ledger(MassMatrix(sources))
+        m = MassMatrix(sources)
+        ledger = conflict_ledger(m)
         factor_elements = {e for t in ledger.terms for e, _ in t.factors}
-        for elem in ledger.involved:
+        for elem in bba.involved(model, m.fractions()):
             assert elem in factor_elements
 
 
 def test_total_ignorance_is_never_involved(shafer_ab):
     m1 = Bba(shafer_ab, {"A": 0.7, "B": 0.1, "A|B": 0.2})
     m2 = Bba(shafer_ab, {"A": 0.5, "B": 0.4, "A|B": 0.1})
-    ledger = conflict_ledger(MassMatrix([m1, m2, vacuous_bba(shafer_ab)]))
-    assert shafer_ab.frame.total_ignorance() not in ledger.involved
-    assert {str(e) for e in ledger.involved} == {"A", "B"}
+    m = MassMatrix([m1, m2, vacuous_bba(shafer_ab)])
+    assert shafer_ab.frame.total_ignorance() not in bba.involved(shafer_ab, m.fractions())
+    assert {str(e) for e in bba.involved(shafer_ab, m.fractions())} == {"A", "B"}
 
 
 def test_free_model_has_no_involvement(frame_abc, rng):
     model = Model(frame_abc, FREE)
     m1 = Bba(model, {"A": 0.9, "C": 0.1})
     m2 = Bba(model, {"B": 0.9, "C": 0.1})
-    ledger = conflict_ledger(MassMatrix([m1, m2]))
-    assert ledger.k == 0
-    assert not ledger.involved
+    m = MassMatrix([m1, m2])
+    assert conflict_ledger(m).k == 0
+    assert not bba.involved(model, m.fractions())
 
 
 @given(exact_matrices())
@@ -187,7 +189,7 @@ def test_ledger_matches_the_flat_product_reference(matrix):
     assert list(ledger.terms) == sorted(ledger.terms, key=lambda t: [e.clauses for e, _ in t.factors])
     assert list(ledger.partials.items()) == sorted(partials.items())
     assert ledger.k == k
-    assert ledger.involved == involved
+    assert bba.involved(matrix.model, matrix.fractions()) == involved
 
 
 # --- exact mass conversion ----------------------------------------------------

@@ -302,6 +302,7 @@ def exit_code(argv):
     (ZADEH, ["--order", "x"], "--order"),
     (ZADEH, ["--order", "1,1"], "order"),
     (ZADEH, ["--precision", "-1"], "--precision"),
+    (ZADEH, ["--precision", "99999999999"], "--precision: expected an integer from 0 to 100"),
     (dict(ZADEH, frame=5), [], "frame"),
     (dict(ZADEH, frame=[1, 2]), [], "frame"),
     (dict(ZADEH, model={"kind": "hybrid", "empty": 5}), [], "empty"),
@@ -319,6 +320,7 @@ def exit_code(argv):
     (ZADEH, ["--rule", "pcr5", "--compare"], "--rule: not allowed with argument --compare"),
 ], ids=["nan-mass", "inf-mass", "text-mass", "sources-object", "stream-of-lists",
         "model-list", "unknown-world", "options-list", "order-text", "order-repeated", "negative-precision",
+        "huge-precision",
         "frame-number", "frame-of-numbers", "empty-number", "dynamic-empty-number", "theta0-text",
         "rules-number", "boolean-mass", "numeric-text-mass", "order-object", "order-of-booleans",
         "huge-integer-mass", "sequential-dynamic-empty", "sequential-with-compare",
@@ -350,6 +352,17 @@ def test_constraint_errors_name_the_scenario_and_the_field(tmp_path, capsys, doc
     path = write(tmp_path, doc)
     assert exit_code([path, "--all"]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_a_rule_named_twice_runs_once(tmp_path, capsys):
+    code, out = run_table(ZADEH, tmp_path, capsys, "--rule", "pcr5", "--rule", "dempster", "--rule", "pcr5")
+    assert code == 0
+    assert out.splitlines()[3].split() == ["pcr5", "dempster"]
+    twice = dict(ZADEH, rules=["pcr5", "minc", "pcr5"])
+    code, out = run_table(twice, tmp_path, capsys, "--format", "machine")
+    assert code == 0
+    assert list(json.loads(out)["rules"]) == ["minc", "pcr5"]  # the machine format sorts its keys
+    assert load_scenario(write(tmp_path, twice)).rules == ["pcr5", "minc"]
 
 
 def test_compare_leaves_the_scenario_rules_alone(tmp_path):

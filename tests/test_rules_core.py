@@ -35,6 +35,7 @@ from massfusion.lattice import MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 from massfusion import dubois_prade, to_fraction
 from massfusion.cli import scenario_from_dict, sequential_fusion
 from massfusion.kernels import absorb_masks, intersect_canon, union_canon
+from massfusion._transfer import redistribute
 from massfusion.rules_classic import _dp_combine
 from massfusion.rules_core import _finish
 
@@ -260,7 +261,7 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
     assert list(ledger.partials.items()) == sorted(partials.items())
     assert ledger.k == k
-    assert ledger.involved == involved
+    assert bba.involved(model, m.fractions()) == involved
 
 
 def reduced_reference(m, model):
@@ -575,3 +576,73 @@ def test_user_float_masses_still_snap_to_small_decimals():
     # the same floats passed in by a user snap again
     assert Bba(model, dict(fused.items())).fractions() == {
         e: to_fraction(v) for e, v in fused.items()}
+
+
+# --- the walk is PCR5's alone -------------------------------------------------
+
+
+def large_shafer_matrices(s):
+    """``large_shafer_case`` drawn from a Hypothesis-seeded generator, with its own model."""
+    return st.randoms(use_true_random=False).map(lambda r: large_shafer_case(r, s)).map(
+        lambda case: (MassMatrix(case[1]), case[0]))
+
+
+MODEL_SIDE_CASES = st.one_of(
+    matrices_and_fusion_models(),
+    closure_matrices().map(lambda m: (m, m.model)),
+    mixed_denominator_matrices().map(lambda m: (m, m.model)),
+    large_shafer_matrices(2),
+    large_shafer_matrices(3),
+)
+
+
+@given(MODEL_SIDE_CASES)
+@settings(max_examples=300, deadline=None)
+def test_involved_from_keys_equals_the_flat_product_reference(case):
+    m, model = case
+    assert bba.involved(model, m.fractions()) == conflict_ledger_reference(m, model)[3]
+
+
+def dsm_hybrid_per_term(m, model, diag):
+    """Hybrid DSm as one fallback unit per conflicting product term of the flat product.
+
+    A term goes to the disjunctive form of its intersection, or to the union
+    of its factors' labels when every factor is empty under ``model``.
+    """
+    units = []
+    for factors, product, intersection in conflict_ledger_reference(m, model)[0]:
+        elements = [e for e, _ in factors]
+        if not all(model.reduce(e).empty for e in elements):
+            elements = [intersection]
+        units.append((intersection, product, [], elements))
+    nonempty = reduced_reference(m, model)[0]
+    return _finish(model, redistribute(model, dict(nonempty), units, diag), exact=True)
+
+
+def fallback_sums(diag):
+    sums = {}
+    for f in diag.fallbacks:
+        key = (f.stage, f.destination)
+        sums[key] = sums.get(key, Fraction(0)) + f.amount
+    return sums
+
+
+@given(MODEL_SIDE_CASES)
+@settings(max_examples=200, deadline=None)
+def test_dsm_hybrid_per_partial_conflict_equals_the_per_term_rule(case):
+    m, model = case
+    finished, diag, want_diag = [], Diagnostics(), Diagnostics()
+    with patch.object(rules_classic, "_finish", lambda model, out: finished.append(dict(out))):
+        rules_classic.dsm_hybrid(MassMatrix(m.sources), model, diag)
+    assert _finish(model, finished[0], exact=True) == dsm_hybrid_per_term(m, model, want_diag)
+    assert fallback_sums(diag) == fallback_sums(want_diag)
+    assert len(diag.fallbacks) <= len(want_diag.fallbacks)
+
+
+@pytest.mark.parametrize("name", ["pcr2", "dsm_hybrid"])
+def test_pcr2_and_dsm_hybrid_on_a_fresh_matrix_fold_once_and_never_walk(monkeypatch, name):
+    folds, walks = count_passes(monkeypatch)
+    m = hybrid_triple()
+    assert run_rule(name, m).total() == pytest.approx(1.0, abs=1e-12)
+    assert folds == [tuple(map(id, m.fractions()))] and walks == []
+    assert conjunctive(m).reduced()[2] > 0  # there was conflict to walk
