@@ -9,20 +9,21 @@ sequential fusion rounds once.  The folds multiply and add integer
 numerators over a common denominator and build a ``Fraction`` only for what
 is read at the end; results are the same rationals.
 
-The fold (:func:`conjunctive`) is the only conjunctive consensus; the walk
-(:func:`walk_terms`) only lists the conflicting product terms, for PCR5's
-:func:`conflict_ledger`, and no other rule walks.  Each runs at most once
-per matrix and model.  PCR2's involved elements (:func:`involved`) come
-from folds of the sources' keys alone.  The fold keys products by region
-set on frames of at most six labels, with ``&`` and ``|``, and keeps
-integer numerators and names no entry: :meth:`RawConjunctive.reduced`
+One product fold, :func:`_fold`, serves every rule but PCR5's walk: the
+conjunctive consensus (:func:`conjunctive`, run at most once per matrix and
+model), the disjunctive and Dubois-Prade folds, and hybrid DSm's fold over
+empty focal elements.  The walk (:func:`walk_terms`) only lists the
+conflicting product terms, for PCR5's :func:`conflict_ledger`, and no
+other rule walks.  PCR2's involved elements (:func:`involved`) come from
+folds of the sources' keys alone, with no masses.  The conjunctive fold
+keeps integer numerators and names no entry: :meth:`RawConjunctive.reduced`
 merges them by what the model leaves alive and names each merged element
 once per model; the free view ``RawConjunctive.masses`` is built only when
-read.  The model-side passes (``reduced()``, the walk and
-:func:`involved`) take their keys, intersection and emptiness test from
-one place, :func:`_keying`: region sets on frames of at most six labels,
-clause tuples on larger (Shafer) frames.  The walk builds a clause form
-only for a conflicting product.
+read.  Every product pass takes its keys, intersection, union and
+emptiness test from one place, :func:`_keying`, the only code here that
+chooses by frame size: region sets on frames of at most six labels, where
+``&`` and ``|`` intersect and unite, clause tuples on larger (Shafer)
+frames.  The walk builds a clause form only for a conflicting product.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, and_, attrgetter, or_
+from operator import and_, attrgetter, or_
 from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
@@ -262,74 +263,73 @@ def column_sum(matrix, element, model=None):
     return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
 
 
-def _numerators(src, regional):
+def _numerators(src, key):
     """A source's masses as integer numerators over their least common denominator.
 
-    Each entry is ``(key, clauses, numerator)``; the key is the element's
-    region set when ``regional``, else its clause tuple.
+    Each entry is ``(key(element), clauses, numerator)``.
     """
     den = math.lcm(*(v.denominator for v in src.values()))
-    return [(elem.regions if regional else elem.clauses, elem.clauses,
-             v.numerator * (den // v.denominator)) for elem, v in src.items()], den
+    return [(key(elem), elem.clauses, v.numerator * (den // v.denominator)) for elem, v in src.items()], den
 
 
-def _fold(fracs, combine):
+def _fold(fracs, key, op, clauses_of):
     """Fold the sources' exact masses left to right, product by product, in integers.
 
-    ``combine(a, b)`` maps the clause tuples of two factors to the clause
-    tuple that receives their product.  Each source is scaled to integer
-    numerators over its own common denominator, so the fold is integer
-    multiply-add.  Returns ``(entries, den)``: ``entries`` maps each key to
-    ``[clauses, numerator]``, where ``absorb_masks(clauses)`` is the entry's
-    clause tuple and ``Fraction(numerator, den)`` its mass, the same
+    ``key(element)`` keys each focal element, ``op(a, b)`` maps the keys of
+    two factors to the key that receives their product, and
+    ``clauses_of(ka, ca, kb, cb)`` gives a clause tuple for a product, from
+    the factors' keys and clauses, when it reaches a new key.  Entries of
+    the first source that share a key are merged.  Each source is scaled to
+    integer numerators over its own common denominator, so the fold is
+    integer multiply-add.  Returns ``(entries, den)``: ``entries`` maps each
+    key to ``[clauses, numerator]``, where ``absorb_masks(clauses)`` names
+    the entry and ``Fraction(numerator, den)`` is its mass, the same
     rational as a fold of fractions (:func:`_named` builds that view).
 
-    On a frame of at most six labels the conjunctive and the disjunctive
-    fold key products by region set (:attr:`CanonicalElement.regions`),
-    where ``intersect_canon`` is ``&`` and ``union_canon`` is ``|``.  An
-    entry keeps the clauses of the first product that reaches it: for the
-    conjunctive fold the factors' clauses, concatenated, whose absorbed form
-    is their intersection, so no entry is named here; for the disjunctive
-    fold ``union_canon`` of the factors.  Larger frames and any other
-    ``combine`` key products by clause tuple.
+    Keys come from :func:`_keying`.  The conjunctive fold passes ``(key,
+    meet, concatenation)``: an entry keeps the concatenated clauses of the
+    first product that reaches it, whose absorbed form is their
+    intersection, so no entry is named here.  The disjunctive fold passes
+    ``(key, join, union_canon)``.
     """
-    ops = None
-    if all(fracs) and next(iter(fracs[0])).frame.n <= MAX_HYPER_LABELS:
-        ops = {intersect_canon: (and_, add), union_canon: (or_, union_canon)}.get(combine)
-    regional = ops is not None
-    op, clauses_of = ops or (combine, None)
-    entries, den = _numerators(fracs[0], regional)
-    acc = {key: [clauses, v] for key, clauses, v in entries}
+    entries, den = _numerators(fracs[0], key)
+    acc = {}
+    for k, clauses, v in entries:
+        acc.setdefault(k, [clauses, 0])[1] += v
     for src in fracs[1:]:
-        entries, d = _numerators(src, regional)
+        entries, d = _numerators(src, key)
         out = {}
         for ka, (ca, va) in acc.items():
             for kb, cb, vb in entries:
-                key = op(ka, kb)
-                entry = out.get(key)
-                if entry is None:
-                    out[key] = [clauses_of(ca, cb) if regional else key, va * vb]
+                k = op(ka, kb)
+                if (entry := out.get(k)) is None:
+                    out[k] = [clauses_of(ka, ca, kb, cb), va * vb]
                 else:
                     entry[1] += va * vb
         acc, den = out, den * d
     return acc, den
 
 
-def _keying(model):
-    """How the model-side passes key, intersect and test elements: ``(key, meet, top, live)``.
+def _concat(ka, ca, kb, cb):
+    return ca + cb
 
-    ``key(element)`` is the element's key, ``meet`` intersects two keys,
-    ``top`` is the key of θ0 (the unit of ``meet``), and ``live(key)`` is 0
-    exactly when the element is empty under ``model``, and equal for
-    elements the model identifies.  On a frame of at most six labels a key
-    is the free region set, ``meet`` is ``&`` and ``live`` keeps the
-    regions the model leaves alive.  On a larger (Shafer) frame a key is
-    the clause tuple and ``live`` the labels every clause holds: the
-    reduced element's mask (θ0 keeps -1).
+
+def _keying(model):
+    """How the product passes key, intersect, unite and test elements: ``(key, meet, join, top, live)``.
+
+    ``key(element)`` is the element's key, ``meet`` intersects two keys and
+    ``join`` unites them, ``top`` is the key of θ0 (the unit of ``meet``),
+    and ``live(key)`` is 0 exactly when the element is empty under
+    ``model``, and equal for elements the model identifies; ``&`` and ``|``
+    intersect and unite these live keys.  On a frame of at most six labels
+    a key is the free region set, ``meet`` is ``&``, ``join`` is ``|`` and
+    ``live`` keeps the regions the model leaves alive.  On a larger
+    (Shafer) frame a key is the clause tuple and ``live`` the labels every
+    clause holds: the reduced element's mask (θ0 keeps -1).
     """
     if model.frame.n <= MAX_HYPER_LABELS:
-        return attrgetter("regions"), and_, -1, model._alive.__and__
-    return attrgetter("clauses"), intersect_canon, (), _common_labels
+        return attrgetter("regions"), and_, or_, -1, model._alive.__and__
+    return attrgetter("clauses"), intersect_canon, union_canon, (), _common_labels
 
 
 def _common_labels(clauses):
@@ -380,7 +380,7 @@ class RawConjunctive:
         if self._reduced is None:
             model, den = self.model, self._den
             frame, names = model.frame, model._reduce_cache
-            live = _keying(model)[3]
+            live = _keying(model)[4]
             groups, conflicts, k = {}, {}, 0
             for key, (clauses, v) in self._entries.items():
                 here = live(key)
@@ -418,7 +418,8 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     model = model or matrix.model
     raw = matrix._consensus.get(model)
     if raw is None:
-        raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.fractions(), intersect_canon))
+        key, meet = _keying(model)[:2]
+        raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.fractions(), key, meet, _concat))
     return raw
 
 
@@ -445,7 +446,7 @@ def walk_terms(model, focal_lists):
     concatenation of its factors' clauses, and flagged empty by
     :meth:`Model.reduce`.
     """
-    key, meet, top, live = _keying(model)
+    key, meet, _, top, live = _keying(model)
 
     def conflict(here, factors):
         if not live(here):
@@ -478,7 +479,7 @@ def involved(model, focal_lists):
     (:func:`_keying`), with no masses, so no product term is listed: X is
     involved when ``meet(X, R)`` is empty and differs from R.
     """
-    key, meet, top, live = _keying(model)
+    key, meet, _, top, live = _keying(model)
     keyed = [[(key(elem), elem) for elem in focals] for focals in focal_lists]
     out = set()
     for i, focals in enumerate(keyed):
@@ -508,8 +509,6 @@ def conflict_ledger(matrix, model=None):
     """
     model = model or matrix.model
     if model not in matrix._ledgers:
-        if matrix.s < 2:
-            raise ValueError("conflict needs at least two sources")
         _, partials, k = conjunctive(matrix, model).reduced()
         terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
         matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k)

@@ -9,14 +9,16 @@ smaller integer value, so scanning masks in ascending order finds every
 absorber before its victims.
 
 On frames of at most six labels the product passes in :mod:`bba` key by
-region set and call these kernels only to name an entry of the disjunctive
-fold, a conflicting product, or an element of the conjunctive consensus
-once its entries are merged under a model (:func:`absorb_masks` of the
-first product's concatenated clauses).  They still do all the clause work
-of the expression parser and the model's prime forms (:mod:`lattice`), of
-the folds, the walk and PCR2's involved elements on Shafer frames of 7-16
-labels, of the Dubois-Prade fold, and of hybrid DSm's fold over empty
-focal elements; the test oracles and the benchmark's tracer use them too.
+region set and call these kernels only to name an entry of the
+disjunctive fold, the Dubois-Prade fold or hybrid DSm's fold over empty
+focal elements, a conflicting product, or an element of the conjunctive
+consensus once its entries are merged under a model (:func:`absorb_masks`
+of the first product's concatenated clauses).  They still do all the
+clause work of the expression parser and the model's prime forms
+(:mod:`lattice`), and of the conjunctive and disjunctive folds, the walk,
+hybrid DSm's fold over empty focal elements and PCR2's involved elements
+on Shafer frames of 7-16 labels; the test oracles and the benchmark's
+tracer use them too.
 """
 
 BACKEND = "pure"

@@ -60,11 +60,13 @@ RULE_ORDER = tuple(RULES)
 
 
 def run_rule(name, matrix, model=None, options=None, diag=None):
-    """Run one registered rule on a matrix; single sources are echoed."""
+    """Run one registered rule on a matrix under ``model`` (the matrix's own by default).
+
+    A single source goes through the rule too: its empty focal elements are
+    conflicting products of one factor.
+    """
     if name not in RULES:
         raise KeyError(f"unknown rule {name!r}")
     options = options or RuleOptions()
     model = model or matrix.model
-    if matrix.s == 1:
-        return matrix.sources[0]
     return RULES[name](matrix, model, options, diag)

@@ -11,9 +11,12 @@ Yager and the hybrid DSm rule give :func:`_transfer.redistribute` units
 down the fallback chain: Yager's total conflict names no elements and
 starts at the total ignorance.  The hybrid rule reads no product terms:
 each partial conflict of the consensus is one unit naming itself, less
-the products whose factors are all empty.  One fold over the sources'
-empty focal elements finds those, and each (partial conflict, union of the
-factors' labels) pair becomes one unit naming that union.
+the products whose factors are all empty.  One :func:`bba._fold` over the
+sources' empty focal elements finds those, and each (partial conflict,
+union of the factors' labels) pair becomes one unit naming that union.
+Dubois-Prade folds through :func:`bba._fold` too, on the keys the model
+leaves alive (:func:`bba._keying`), so no product is reduced under the
+model or passed to a clause kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import add, redistribute
-from .bba import Bba, _keying, accumulate, to_fraction
+from .bba import Bba, _concat, _keying, accumulate, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
-from .kernels import intersect_canon, union_canon
+from .kernels import absorb_masks, union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
 from .rules_pcr import pcr1
 
@@ -61,32 +64,27 @@ def yager(matrix, model=None, diag=None) -> Bba:
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
-def _dp_combine(model):
-    """Where Dubois-Prade sends a product of two clause tuples.
-
-    The intersection under the model when it is non-empty, else the union
-    of the factors, else the total ignorance.
-    """
-    frame = model.frame
-
-    def combine(a, b):
-        inter = model.reduce(frame.element(intersect_canon(a, b)))
-        if not inter.empty:
-            return inter.clauses
-        union = model.reduce(frame.element(union_canon(a, b)))
-        return (model.total_ignorance() if union.empty else union).clauses
-
-    return combine
-
-
 def dubois_prade(matrix, model=None, diag=None) -> Bba:
     """Dubois-Prade's rule: conflicting products move to their factor union.
 
     Defined pairwise; more sources are folded left to right, which makes
-    the result order-dependent (the rule is not associative).
+    the result order-dependent (the rule is not associative).  The fold
+    keys each product by what the model leaves alive of it
+    (:func:`bba._keying`): the intersection of the factors' live keys when
+    it is non-empty, else their union, else the total ignorance's.
     """
     model = model or matrix.model
-    entries, den = _fold(matrix.fractions(), _dp_combine(model))
+    if matrix.s == 1:  # no product: the source under the model, each empty focal element kept apart
+        return _finish(model, matrix.fractions()[0])
+    key, _, _, _, live = _keying(model)
+    ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
+    top = live(key(ignorance))
+
+    def clauses_of(ka, ca, kb, cb):
+        return ca + cb if ka & kb else union_canon(ca, cb) if ka | kb else ignorance.clauses
+
+    entries, den = _fold(matrix.fractions(), lambda e: live(key(e)),
+                         lambda a, b: a & b or a | b or top, clauses_of)
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
@@ -96,21 +94,23 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
 def _all_empty_products(matrix, model):
     """Products whose factors are all empty under ``model``, as hybrid DSm needs them.
 
-    One fold over each source's empty focal elements, keyed by the product's
-    free intersection (a clause tuple) and the union of its factors' labels
-    (a mask); it empties out at the first source with none.
+    One :func:`bba._fold` over each source's empty focal elements, keyed by
+    the product's free intersection and the union of its factors' labels
+    (a mask); there is none when some source has no empty focal element,
+    and the sources after the first such one are not scanned.  Returns
+    sorted ``(clauses, mask, mass)`` triples, the clauses in free canonical
+    form.
     """
-    key, _, _, live = _keying(model)
-    acc = {((), 0): Fraction(1)}
+    key, meet, _, _, live = _keying(model)
+    empties = []
     for src in matrix.fractions():
-        empty = [(elem.clauses, elem.labels_mask(), vb) for elem, vb in src.items() if not live(key(elem))]
-        out = {}
-        for (clauses, mask), va in acc.items():
-            for c, labels, vb in empty:
-                accumulate(out, (intersect_canon(clauses, c), mask | labels), va * vb)
-        if not (acc := out):
-            break
-    return acc
+        if not (empty := {elem: v for elem, v in src.items() if not live(key(elem))}):
+            return []
+        empties.append(empty)
+    entries, den = _fold(empties, lambda e: (key(e), e.labels_mask()),
+                         lambda a, b: (meet(a[0], b[0]), a[1] | b[1]), _concat)
+    return sorted((absorb_masks(clauses), mask, Fraction(v, den))
+                  for (_, mask), (clauses, v) in entries.items())
 
 
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
@@ -130,7 +130,7 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     nonempty, conflicts, k = conjunctive(matrix, model).reduced()
     rest, units = dict(conflicts), []
-    for (clauses, mask), mass in sorted(_all_empty_products(matrix, model).items()) if k else ():
+    for clauses, mask, mass in _all_empty_products(matrix, model) if k else ():
         conflict = model.reduce(model.frame.element(clauses))
         rest[conflict] -= mass
         units.append((conflict, mass, [], [model.frame.element((mask,))]))

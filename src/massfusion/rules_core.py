@@ -10,7 +10,7 @@ conflict ledger that reads it; it is re-exported here.
 
 from __future__ import annotations
 
-from .bba import Bba, RawConjunctive, _fold, _named, accumulate, conjunctive
+from .bba import Bba, RawConjunctive, _fold, _keying, _named, accumulate, conjunctive
 from .kernels import union_canon
 
 
@@ -35,4 +35,9 @@ def disjunctive(matrix, model=None) -> Bba:
     set never receives mass.
     """
     model = model or matrix.model
-    return _finish(model, _named(*_fold(matrix.fractions(), union_canon), model.frame))
+    key, _, join = _keying(model)[:3]
+    return _finish(model, _named(*_fold(matrix.fractions(), key, join, _unite), model.frame))
+
+
+def _unite(ka, ca, kb, cb):
+    return union_canon(ca, cb)

@@ -157,7 +157,7 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
-    """General PCR5 over all sources, for two or more.
+    """General PCR5 over all sources; a single source's empty focal elements are its terms.
 
     Each non-zero conflicting product is redistributed within itself: the
     factors pointing at one element pool their masses multiplicatively and
@@ -178,7 +178,7 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     of one :func:`bba.walk_terms` pass.  The non-empty part is the whole
     matrix's consensus, which is exact by associativity.  The order used is
     reported through the diagnostics; for two sources this is the exact
-    pair rule.
+    pair rule, and a single source runs :func:`pcr5_multi`, with no order.
     """
     model = model or matrix.model
     if order is None:
@@ -187,6 +187,8 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
         order = tuple(order)
         if sorted(order) != list(range(1, matrix.s + 1)):
             raise ValueError(f"order {order!r} is not a permutation of 1..{matrix.s}")
+    if matrix.s == 1:
+        return pcr5_multi(matrix, model, diag)
     if diag is not None:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]

@@ -1,14 +1,18 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here except :func:`conflict_ledger_reference`,
-:func:`pcr5_enumeration_reference` and :func:`fraction_fold_reference` works
-on a different representation (frozen sets of Venn regions / label sets)
-with its own tiny parser, deliberately sharing no code with the package
-under test.  The first two reuse the package's lattice (canonical
-intersection and model reduction, checked against the region oracle
-elsewhere) and check only the term enumeration: a flat product in place of
-the package's depth-first walk and its conflict ledger.  The fold reference
-takes the package's combine functions and checks only the arithmetic.
+:func:`pcr5_enumeration_reference`, :func:`fraction_fold_reference` and
+:func:`dubois_prade_combine_reference` works on a different representation
+(frozen sets of Venn regions / label sets) with its own tiny parser,
+deliberately sharing no code with the package under test.  The first two
+reuse the package's lattice (canonical intersection and model reduction,
+checked against the region oracle elsewhere) and check only the term
+enumeration: a flat product in place of the package's depth-first walk and
+its conflict ledger.  The fold reference takes clause-tuple combine
+functions, the package's kernels or the Dubois-Prade combine here, and
+checks only the arithmetic.  The Dubois-Prade combine reduces every product
+under the model, where the package's fold intersects and unites the keys
+the model leaves alive.
 """
 
 from fractions import Fraction
@@ -252,3 +256,24 @@ def fraction_fold_reference(fracs, combine):
                 out[key] = out.get(key, Fraction(0)) + va * vb
         acc = out
     return acc
+
+
+def dubois_prade_combine_reference(model):
+    """Where Dubois-Prade sends a product of two clause tuples, for :func:`fraction_fold_reference`.
+
+    The intersection under the model when it is non-empty, else the union
+    of the factors, else the total ignorance, each as the clause tuple
+    :meth:`Model.reduce` gives; every product is reduced twice.
+    """
+    from massfusion.kernels import intersect_canon, union_canon
+
+    frame = model.frame
+
+    def combine(a, b):
+        inter = model.reduce(frame.element(intersect_canon(a, b)))
+        if not inter.empty:
+            return inter.clauses
+        union = model.reduce(frame.element(union_canon(a, b)))
+        return (model.total_ignorance() if union.empty else union).clauses
+
+    return combine

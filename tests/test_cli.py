@@ -57,6 +57,26 @@ def test_single_source_is_echoed(tmp_path, capsys):
     assert "0.600000" in out and "0.400000" in out
 
 
+def test_a_single_source_is_fused_under_the_fusion_model(tmp_path, capsys):
+    """A lone source's empty focal element is conflict that each redistributing rule moves."""
+    doc = {"frame": ["A", "B", "C"], "model": {"kind": "shafer"},
+           "sources": [{"A": 0.6, "B|C": 0.4}], "dynamic_empty": ["A"]}
+    code, out = run_table(doc, tmp_path, capsys, "--all", "--pcr5", "approx", "--format", "machine")
+    assert code == 0
+    rules = json.loads(out)["rules"]
+    for name in ("dempster", "yager", "dsm_hybrid", "minc", "pcr1", "pcr2", "pcr3", "pcr4", "pcr5"):
+        assert rules[name]["masses"] == {"B|C": 1.0}, name
+    assert "order" not in rules["pcr5"]
+    assert rules["smets"]["masses"] == {"∅": 0.6, "B|C": 0.4}
+    assert rules["wao"]["masses"] == {"B|C": 0.64} and rules["wao"]["sum_deficit"] == 0.36
+    # no product to combine: the source itself, under the fusion model
+    for name in ("conjunctive", "disjunctive", "dubois_prade"):
+        assert rules[name]["masses"] == {"A": 0.6, "B|C": 0.4}, name
+    doc = dict(doc, sources=[{"A": 0.3, "B": 0.3, "C": 0.4}], dynamic_empty=["A", "B"])
+    code, out = run_table(doc, tmp_path, capsys, "--rule", "dubois_prade", "--format", "machine")
+    assert json.loads(out)["rules"]["dubois_prade"]["masses"] == {"A": 0.3, "B": 0.3, "C": 0.4}
+
+
 def test_malformed_mass_sum_exits_2(tmp_path, capsys):
     doc = {"frame": ["A", "B"], "model": {"kind": "shafer"},
            "sources": [{"A": 0.5, "B": 0.4}]}

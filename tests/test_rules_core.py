@@ -36,7 +36,6 @@ from massfusion import dubois_prade, to_fraction
 from massfusion.cli import scenario_from_dict, sequential_fusion
 from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 from massfusion._transfer import redistribute
-from massfusion.rules_classic import _dp_combine
 from massfusion.rules_core import _finish
 
 from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
@@ -44,6 +43,7 @@ from oracles import (
     conflict_ledger_reference,
     conjunctive_reference,
     disjunctive_reference,
+    dubois_prade_combine_reference,
     fraction_fold_reference,
     pcr5_reference,
 )
@@ -193,10 +193,31 @@ def mixed_denominator_matrices(draw):
     return MassMatrix(sources)
 
 
-def fold_fractions(fracs, combine):
-    """``bba._fold``'s integer entries as clause tuples mapped to exact masses."""
-    entries, den = bba._fold(fracs, combine)
+def fold_fractions(fracs, model, combine):
+    """``bba._fold``'s integer entries as clause tuples mapped to exact masses.
+
+    ``combine`` names the fold, ``intersect_canon`` the conjunctive and
+    ``union_canon`` the disjunctive; it runs on the keys ``bba._keying``
+    gives for ``model``'s frame, with the clauses the package keeps.
+    """
+    key, meet, join = bba._keying(model)[:3]
+    op, clauses_of = {intersect_canon: (meet, bba._concat), union_canon: (join, rules_core._unite)}[combine]
+    entries, den = bba._fold(fracs, key, op, clauses_of)
     return {absorb_masks(clauses): Fraction(v, den) for clauses, v in entries.values()}
+
+
+def dubois_prade_exact(m, model):
+    """``dubois_prade``'s exact masses, merged and sorted under ``model`` before its one rounding."""
+    finished = []
+    with patch.object(rules_classic, "_finish", lambda model, out: finished.append(dict(out))):
+        rules_classic.dubois_prade(m, model)
+    return _finish(model, finished[0], exact=True)
+
+
+def dubois_prade_reference(m, model):
+    """The Fraction fold under the clause-tuple Dubois-Prade combine, merged and sorted under ``model``."""
+    folded = fraction_fold_reference(m.fractions(), dubois_prade_combine_reference(model))
+    return _finish(model, {model.frame.element(c): v for c, v in folded.items()}, exact=True)
 
 
 @given(mixed_denominator_matrices())
@@ -204,10 +225,11 @@ def fold_fractions(fracs, combine):
 def test_integer_fold_equals_a_fraction_fold(m):
     model, fracs = m.model, m.fractions()
     combines = {"conjunctive": intersect_canon, "disjunctive": union_canon,
-                "dubois_prade": _dp_combine(model)}
+                "dubois_prade": dubois_prade_combine_reference(model)}
     reference = {name: fraction_fold_reference(fracs, combine) for name, combine in combines.items()}
-    for name, combine in combines.items():
-        assert fold_fractions(fracs, combine) == reference[name]
+    for name in ("conjunctive", "disjunctive"):
+        assert fold_fractions(fracs, model, combines[name]) == reference[name]
+    assert dubois_prade_exact(m, model) == dubois_prade_reference(m, model)
     assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
     for name, rule in (("disjunctive", disjunctive), ("dubois_prade", dubois_prade)):
         merged = {}
@@ -248,8 +270,9 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     model, fracs = m.model, m.fractions()
     reference = {name: fraction_fold_reference(fracs, combine)
                  for name, combine in (("conjunctive", intersect_canon), ("disjunctive", union_canon))}
-    assert fold_fractions(fracs, intersect_canon) == reference["conjunctive"]
-    assert fold_fractions(fracs, union_canon) == reference["disjunctive"]
+    assert fold_fractions(fracs, model, intersect_canon) == reference["conjunctive"]
+    assert fold_fractions(fracs, model, union_canon) == reference["disjunctive"]
+    assert dubois_prade_exact(m, model) == dubois_prade_reference(m, model)
     assert conjunctive(m).masses == {model.frame.element(c): v for c, v in reference["conjunctive"].items()}
     merged = {}
     for clauses, v in reference["disjunctive"].items():
@@ -354,6 +377,9 @@ def test_rules_on_large_shafer_frames_match_the_references(rng, s):
                    for e, v in src.fractions().items()} for src in sources]
         nonempty, _, k = got = conjunctive(MassMatrix(sources)).reduced()
         assert listed(got) == listed(reduced_reference(MassMatrix(sources), model))
+        m = MassMatrix(sources)
+        assert fold_fractions(m.fractions(), model, union_canon) == fraction_fold_reference(m.fractions(), union_canon)
+        assert dubois_prade_exact(m, model) == dubois_prade_reference(m, model)
         reference = conjunctive_reference(tables)
         assert sum((v for key, v in reference.items() if not key), Fraction(0)) == k
         assert nonempty == {model.canonical("|".join(sorted(key))): v for key, v in reference.items() if key}
@@ -379,8 +405,8 @@ def count_passes(monkeypatch):
     """Record each consensus fold (by the sources it folds) and each ledger walk."""
     folds, walks = [], []
     fold, walk = bba._fold, bba.walk_terms
-    monkeypatch.setattr(bba, "_fold", lambda fracs, combine: folds.append(
-        tuple(map(id, fracs))) or fold(fracs, combine))
+    monkeypatch.setattr(bba, "_fold", lambda fracs, *args: folds.append(
+        tuple(map(id, fracs))) or fold(fracs, *args))
     monkeypatch.setattr(bba, "walk_terms", lambda *args: walks.append(args) or walk(*args))
     return folds, walks
 
