@@ -20,10 +20,11 @@ keeps integer numerators and names no entry: :meth:`RawConjunctive.reduced`
 merges them by what the model leaves alive and names each merged element
 once per model; the free view ``RawConjunctive.masses`` is built only when
 read.  Every product pass takes its keys, intersection, union and
-emptiness test from one place, :func:`_keying`, the only code here that
-chooses by frame size: region sets on frames of at most six labels, where
-``&`` and ``|`` intersect and unite, clause tuples on larger (Shafer)
-frames.  The walk builds a clause form only for a conflicting product.
+emptiness test from the model, :meth:`Model.keying`: region sets on frames
+of at most six labels, where ``&`` and ``|`` intersect and unite, clause
+tuples on larger (Shafer) frames.  The model names the products the passes
+read under it, merged groups and conflicts of the consensus and the walk's
+conflicting terms, through :meth:`Model.name`, once per key.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_, attrgetter, or_
 from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
-from .kernels import absorb_masks, intersect_canon, union_canon
-from .lattice import MAX_HYPER_LABELS, OPEN, CanonicalElement
+from .kernels import absorb_masks
+from .lattice import OPEN, CanonicalElement, ordered
 
 MASS_EPS = 1e-12
 SUM_TOL = 1e-9
@@ -104,7 +103,7 @@ class Bba:
             if isinstance(value, Fraction) and value == 0:
                 continue
             merged[elem] = merged.get(elem, 0) + value
-        self.masses = {k: merged[k] for k in sorted(merged)}
+        self.masses = ordered(merged)
         self._fractions = None
         self._exact = False
 
@@ -254,7 +253,7 @@ class MassMatrix:
         for src in self.sources:
             for elem, mass in src.fractions().items():
                 accumulate(cols, model.reduce(elem), mass)
-        return {k: cols[k] for k in sorted(cols)}
+        return ordered(cols)
 
 
 def column_sum(matrix, element, model=None):
@@ -286,11 +285,11 @@ def _fold(fracs, key, op, clauses_of):
     the entry and ``Fraction(numerator, den)`` is its mass, the same
     rational as a fold of fractions (:func:`_named` builds that view).
 
-    Keys come from :func:`_keying`.  The conjunctive fold passes ``(key,
+    Keys come from :meth:`Model.keying`.  The conjunctive fold passes ``(key,
     meet, concatenation)``: an entry keeps the concatenated clauses of the
     first product that reaches it, whose absorbed form is their
     intersection, so no entry is named here.  The disjunctive fold passes
-    ``(key, join, union_canon)``.
+    ``(key, join, rules_core._unite)``, the union of the clauses.
     """
     entries, den = _numerators(fracs[0], key)
     acc = {}
@@ -312,28 +311,6 @@ def _fold(fracs, key, op, clauses_of):
 
 def _concat(ka, ca, kb, cb):
     return ca + cb
-
-
-def _keying(model):
-    """How the product passes key, intersect, unite and test elements: ``(key, meet, join, top, live)``.
-
-    ``key(element)`` is the element's key, ``meet`` intersects two keys and
-    ``join`` unites them, ``top`` is the key of θ0 (the unit of ``meet``),
-    and ``live(key)`` is 0 exactly when the element is empty under
-    ``model``, and equal for elements the model identifies; ``&`` and ``|``
-    intersect and unite these live keys.  On a frame of at most six labels
-    a key is the free region set, ``meet`` is ``&``, ``join`` is ``|`` and
-    ``live`` keeps the regions the model leaves alive.  On a larger
-    (Shafer) frame a key is the clause tuple and ``live`` the labels every
-    clause holds: the reduced element's mask (θ0 keeps -1).
-    """
-    if model.frame.n <= MAX_HYPER_LABELS:
-        return attrgetter("regions"), and_, or_, -1, model._alive.__and__
-    return attrgetter("clauses"), intersect_canon, union_canon, (), _common_labels
-
-
-def _common_labels(clauses):
-    return reduce(and_, clauses, -1)
 
 
 def _named(entries, den, frame):
@@ -361,8 +338,7 @@ class RawConjunctive:
     @property
     def masses(self):
         if self._masses is None:
-            masses = _named(self._entries, self._den, self.model.frame)
-            self._masses = {k: masses[k] for k in sorted(masses)}
+            self._masses = ordered(_named(self._entries, self._den, self.model.frame))
         return self._masses
 
     def reduced(self):
@@ -370,38 +346,26 @@ class RawConjunctive:
 
         Both maps are keyed by the elements :meth:`Model.reduce` returns; a
         partial conflict keeps its free canonical form, flagged empty.
-        Entries are merged by what the model leaves of their key, with
-        integer adds: on a frame of at most six labels the live regions
-        (``key & Model._alive``), on a larger (Shafer) frame the labels
-        every clause holds, the reduced element's mask (θ0 keeps -1).  0
-        is a conflict.  The model names each merged key once, kept in its
-        reduce cache under that int; conflicts are named one by one.
+        Entries are merged by their live key (:meth:`Model.keying`), with
+        integer adds; a live key of 0 is a conflict.  :meth:`Model.name`
+        names each merged group under its live key and each conflict under
+        its free key, once per model.
         """
         if self._reduced is None:
             model, den = self.model, self._den
-            frame, names = model.frame, model._reduce_cache
-            live = _keying(model)[4]
+            live = model.keying()[4]
             groups, conflicts, k = {}, {}, 0
             for key, (clauses, v) in self._entries.items():
                 here = live(key)
                 if not here:
-                    conflicts[model.reduce(frame.element(absorb_masks(clauses)))] = Fraction(v, den)
+                    conflicts[model.name(key, clauses)] = Fraction(v, den)
                     k += v
                 elif (group := groups.get(here)) is None:
                     groups[here] = [clauses, v]
                 else:
                     group[1] += v
-            nonempty = {}
-            for here, (clauses, v) in groups.items():
-                elem = names.get(here)
-                if elem is None:
-                    elem = names[here] = model.reduce(frame.element(absorb_masks(clauses)))
-                nonempty[elem] = Fraction(v, den)
-            self._reduced = (
-                {e: nonempty[e] for e in sorted(nonempty)},
-                {e: conflicts[e] for e in sorted(conflicts)},
-                Fraction(k, den),
-            )
+            nonempty = {model.name(here, clauses): Fraction(v, den) for here, (clauses, v) in groups.items()}
+            self._reduced = ordered(nonempty), ordered(conflicts), Fraction(k, den)
         return self._reduced
 
     def total(self):
@@ -418,7 +382,7 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     model = model or matrix.model
     raw = matrix._consensus.get(model)
     if raw is None:
-        key, meet = _keying(model)[:2]
+        key, meet = model.keying()[:2]
         raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.fractions(), key, meet, _concat))
     return raw
 
@@ -438,19 +402,18 @@ def walk_terms(model, focal_lists):
     ``focal_lists`` holds each source's (element, exact mass) pairs in
     element order, such as ``src.fractions().items()``.  Returns the
     :class:`ConflictTerm` values in lexicographic factor order.  The walk is
-    depth-first over the keys of :func:`_keying`, so each prefix
+    depth-first over the keys of :meth:`Model.keying`, so each prefix
     intersection and prefix product is computed once and shared by every
     term that extends it; at the last source a product is formed only for
     a conflicting leaf, one that the model leaves nothing alive of.  Only
-    there is the clause form of its intersection built, as the absorbed
-    concatenation of its factors' clauses, and flagged empty by
-    :meth:`Model.reduce`.
+    there is its intersection named, by :meth:`Model.name` under its free
+    key from its factors' clauses, once per model.
     """
-    key, meet, _, top, live = _keying(model)
+    key, meet, _, top, live = model.keying()
 
     def conflict(here, factors):
         if not live(here):
-            return model.reduce(model.frame.element(absorb_masks([c for e, _ in factors for c in e.clauses])))
+            return model.name(here, [c for e, _ in factors for c in e.clauses])
 
     keyed = [[(key(item[0]), item) for item in focals] for focals in focal_lists]
     terms = []
@@ -476,10 +439,10 @@ def involved(model, focal_lists):
     under ``model`` is involved when some conflicting product puts it at
     position i and it does not include the intersection R of the other
     factors.  The R range over a fold of the other sources' keys
-    (:func:`_keying`), with no masses, so no product term is listed: X is
-    involved when ``meet(X, R)`` is empty and differs from R.
+    (:meth:`Model.keying`), with no masses, so no product term is listed: X
+    is involved when ``meet(X, R)`` is empty and differs from R.
     """
-    key, meet, _, top, live = _keying(model)
+    key, meet, _, top, live = model.keying()
     keyed = [[(key(elem), elem) for elem in focals] for focals in focal_lists]
     out = set()
     for i, focals in enumerate(keyed):

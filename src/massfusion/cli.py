@@ -227,9 +227,7 @@ def run_scenario(scenario) -> Report:
     """Run the selected rules once over all sources."""
     matrix = MassMatrix(scenario.sources)
     runs = [_execute(name, matrix, scenario) for name in scenario.rules]
-    k = None
-    if matrix.s >= 2:
-        k = float(conjunctive(matrix, scenario.fusion_model).reduced()[2])
+    k = float(conjunctive(matrix, scenario.fusion_model).reduced()[2])
     return Report(scenario, runs, k=k)
 
 

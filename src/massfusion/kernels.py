@@ -10,10 +10,11 @@ absorber before its victims.
 
 On frames of at most six labels the product passes in :mod:`bba` key by
 region set and call these kernels only to name an entry of the
-disjunctive fold, the Dubois-Prade fold or hybrid DSm's fold over empty
-focal elements, a conflicting product, or an element of the conjunctive
-consensus once its entries are merged under a model (:func:`absorb_masks`
-of the first product's concatenated clauses).  They still do all the
+disjunctive or Dubois-Prade fold, and, through :meth:`lattice.Model.name`
+once per key and model, a conflicting product, an element of the
+conjunctive consensus once its entries are merged under a model, or one
+of hybrid DSm's all-empty products (:func:`absorb_masks` of the first
+product's concatenated clauses).  They still do all the
 clause work of the expression parser and the model's prime forms
 (:mod:`lattice`), and of the conjunctive and disjunctive folds, the walk,
 hybrid DSm's fold over empty focal elements and PCR2's involved elements

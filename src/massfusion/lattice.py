@@ -16,14 +16,19 @@ clause meets; both directions between clauses and regions read it.  On
 frames of at most six labels every element's free region set
 (:attr:`CanonicalElement.regions`) is read from that table, and every model
 keeps the mask of regions it leaves alive, so the product passes in
-:mod:`bba` intersect and test for emptiness with ``&``.  The parser,
-:meth:`Model.reduce` and the prime forms still work on clause tuples through
-:mod:`kernels`.
+:mod:`bba` intersect and test for emptiness with ``&``.  Those passes take
+their keys from :meth:`Model.keying` (region sets there, clause tuples on
+larger Shafer frames), name products through :meth:`Model.name` and order
+mass maps with :func:`ordered`, so only this module knows how elements are
+keyed, named and ordered.  The parser, :meth:`Model.reduce` and the prime
+forms still work on clause tuples through :mod:`kernels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, attrgetter, or_
 
 from .errors import CapacityError, ExprSyntaxError, UnknownLabelError
 from .kernels import absorb_masks, intersect_canon, union_canon
@@ -152,9 +157,6 @@ class CanonicalElement:
     def __lt__(self, other):
         return self.clauses < other.clauses
 
-    def __le__(self, other):
-        return self.clauses <= other.clauses
-
     def __str__(self):
         if self.is_theta0:
             return "θ0"
@@ -171,6 +173,11 @@ class CanonicalElement:
     def __repr__(self):
         flag = ", empty" if self.empty else ""
         return f"<{self}{flag}>"
+
+
+def ordered(masses):
+    """``masses`` with its elements in sorted order: the order every mass map keeps."""
+    return {k: masses[k] for k in sorted(masses)}
 
 
 # --- set expressions -------------------------------------------------------
@@ -362,8 +369,8 @@ class Model:
         self.kind = kind
         self.world = world
         self.theta0_enabled = bool(theta0)
-        # clause tuple -> reduced element; under int keys, the element each merged
-        # key of the conjunctive consensus names (bba.RawConjunctive.reduced)
+        # clause tuple -> reduced element (reduce); under a product's live or
+        # free key (keying), the element name() gave it
         self._reduce_cache = {}
         if kind == SHAFER:
             if constraints:
@@ -426,6 +433,41 @@ class Model:
         self._reduce_cache[key] = out
         return out
 
+    def keying(self):
+        """How the product passes key, intersect, unite and test elements: ``(key, meet, join, top, live)``.
+
+        ``key(element)`` is the element's free key, ``meet`` intersects two
+        keys and ``join`` unites them, ``top`` is the key of θ0 (the unit of
+        ``meet``), and ``live(key)``, the live key, is 0 exactly when the
+        element is empty under this model, and equal for elements the model
+        identifies; ``&`` and ``|`` intersect and unite live keys.  On a
+        frame of at most six labels a key is the free region set, ``meet`` is
+        ``&``, ``join`` is ``|`` and ``live`` keeps the regions the model
+        leaves alive.  On a larger (Shafer) frame a key is the clause tuple
+        and ``live`` the labels every clause holds: the reduced element's mask
+        (θ0 keeps -1).  The tuple is built per call from the kernels as this
+        module binds them then, so a tracer that rebinds them sees the calls.
+        """
+        if self._alive is None:
+            return attrgetter("clauses"), intersect_canon, union_canon, (), _common_labels
+        return attrgetter("regions"), and_, or_, -1, self._alive.__and__
+
+    def name(self, key, clauses):
+        """The reduced element of a product, named once per key.
+
+        ``key`` is the product's live key, or for an empty product its free
+        key (:meth:`keying`); ``clauses`` are its factors' clauses, whose
+        absorbed form is the product's free canonical form.  A free key of
+        an empty product never equals a live key: on a frame of at most six
+        labels their region sets are disjoint, on a larger one the first is
+        a clause tuple and the second an int.  So both share the reduce
+        cache.
+        """
+        elem = self._reduce_cache.get(key)
+        if elem is None:
+            elem = self._reduce_cache[key] = self.reduce(self.frame.element(absorb_masks(clauses)))
+        return elem
+
     def _reduce_clauses(self, clauses):
         frame = self.frame
         if clauses == ():
@@ -483,6 +525,10 @@ class Model:
     def __repr__(self):
         extra = f", constraints={[str(c) for c in self.constraints]}" if self.constraints else ""
         return f"Model({self.frame!r}, {self.kind!r}{extra}, world={self.world!r})"
+
+
+def _common_labels(clauses):
+    return reduce(and_, clauses, -1)
 
 
 def shafer_as_hybrid(frame, world=CLOSED, theta0=False):

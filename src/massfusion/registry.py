@@ -36,6 +36,8 @@ def _run_conjunctive(matrix, model, opts, diag):
 def _run_pcr5(matrix, model, opts, diag):
     if opts.pcr5_variant == "approx":
         return pcr5_approximate(matrix, model, opts.order, diag)
+    if opts.pcr5_variant != "exact":
+        raise ValueError(f"unknown PCR5 variant {opts.pcr5_variant!r}")
     return pcr5_multi(matrix, model, diag)
 
 

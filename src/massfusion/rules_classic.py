@@ -13,9 +13,10 @@ starts at the total ignorance.  The hybrid rule reads no product terms:
 each partial conflict of the consensus is one unit naming itself, less
 the products whose factors are all empty.  One :func:`bba._fold` over the
 sources' empty focal elements finds those, and each (partial conflict,
-union of the factors' labels) pair becomes one unit naming that union.
+union of the factors' labels) pair becomes one unit naming that union;
+the model names each such product once (:meth:`Model.name`).
 Dubois-Prade folds through :func:`bba._fold` too, on the keys the model
-leaves alive (:func:`bba._keying`), so no product is reduced under the
+leaves alive (:meth:`Model.keying`), so no product is reduced under the
 model or passed to a clause kernel.
 """
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import add, redistribute
-from .bba import Bba, _concat, _keying, accumulate, to_fraction
+from .bba import Bba, _concat, accumulate, to_fraction
 from .errors import NotNormalizedError, TotalConflictError
-from .kernels import absorb_masks, union_canon
+from .kernels import union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
 from .rules_pcr import pcr1
 
@@ -69,14 +70,14 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
 
     Defined pairwise; more sources are folded left to right, which makes
     the result order-dependent (the rule is not associative).  The fold
-    keys each product by what the model leaves alive of it
-    (:func:`bba._keying`): the intersection of the factors' live keys when
+    keys each product by what the model leaves alive of it, its live key
+    (:meth:`Model.keying`): the intersection of the factors' live keys when
     it is non-empty, else their union, else the total ignorance's.
     """
     model = model or matrix.model
     if matrix.s == 1:  # no product: the source under the model, each empty focal element kept apart
         return _finish(model, matrix.fractions()[0])
-    key, _, _, _, live = _keying(model)
+    key, _, _, _, live = model.keying()
     ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
     top = live(key(ignorance))
 
@@ -98,10 +99,10 @@ def _all_empty_products(matrix, model):
     the product's free intersection and the union of its factors' labels
     (a mask); there is none when some source has no empty focal element,
     and the sources after the first such one are not scanned.  Returns
-    sorted ``(clauses, mask, mass)`` triples, the clauses in free canonical
-    form.
+    sorted ``(element, mask, mass)`` triples, each element named by
+    :meth:`Model.name` under the product's free key.
     """
-    key, meet, _, _, live = _keying(model)
+    key, meet, _, _, live = model.keying()
     empties = []
     for src in matrix.fractions():
         if not (empty := {elem: v for elem, v in src.items() if not live(key(elem))}):
@@ -109,8 +110,8 @@ def _all_empty_products(matrix, model):
         empties.append(empty)
     entries, den = _fold(empties, lambda e: (key(e), e.labels_mask()),
                          lambda a, b: (meet(a[0], b[0]), a[1] | b[1]), _concat)
-    return sorted((absorb_masks(clauses), mask, Fraction(v, den))
-                  for (_, mask), (clauses, v) in entries.items())
+    return sorted((model.name(free, clauses), mask, Fraction(v, den))
+                  for (free, mask), (clauses, v) in entries.items())
 
 
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
@@ -130,8 +131,7 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     nonempty, conflicts, k = conjunctive(matrix, model).reduced()
     rest, units = dict(conflicts), []
-    for clauses, mask, mass in _all_empty_products(matrix, model) if k else ():
-        conflict = model.reduce(model.frame.element(clauses))
+    for conflict, mask, mass in _all_empty_products(matrix, model) if k else ():
         rest[conflict] -= mass
         units.append((conflict, mass, [], [model.frame.element((mask,))]))
     units += [(conflict, mass, [], [conflict]) for conflict, mass in rest.items() if mass]

@@ -10,8 +10,9 @@ conflict ledger that reads it; it is re-exported here.
 
 from __future__ import annotations
 
-from .bba import Bba, RawConjunctive, _fold, _keying, _named, accumulate, conjunctive
+from .bba import Bba, RawConjunctive, _fold, _named, accumulate, conjunctive
 from .kernels import union_canon
+from .lattice import ordered
 
 
 def _finish(model, out, exact=False):
@@ -24,7 +25,7 @@ def _finish(model, out, exact=False):
     merged = {}
     for elem, mass in out.items():
         accumulate(merged, model.reduce(elem), mass)
-    merged = {k: merged[k] for k in sorted(merged)}
+    merged = ordered(merged)
     return merged if exact else Bba._result(model, merged)
 
 
@@ -35,7 +36,7 @@ def disjunctive(matrix, model=None) -> Bba:
     set never receives mass.
     """
     model = model or matrix.model
-    key, _, join = _keying(model)[:3]
+    key, _, join = model.keying()[:3]
     return _finish(model, _named(*_fold(matrix.fractions(), key, join, _unite), model.frame))
 
 

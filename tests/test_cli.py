@@ -77,6 +77,16 @@ def test_a_single_source_is_fused_under_the_fusion_model(tmp_path, capsys):
     assert json.loads(out)["rules"]["dubois_prade"]["masses"] == {"A": 0.3, "B": 0.3, "C": 0.4}
 
 
+def test_a_single_source_reports_its_conflict(tmp_path, capsys):
+    """A lone source's empty focal elements are its conflict k, in both output formats."""
+    doc = {"frame": ["A", "B", "C"], "model": {"kind": "shafer"},
+           "sources": [{"A": 0.6, "B|C": 0.4}], "dynamic_empty": ["A"]}
+    code, out = run_table(doc, tmp_path, capsys, "--all", "--format", "machine")
+    assert code == 0 and json.loads(out)["k"] == 0.6
+    code, out = run_table(doc, tmp_path, capsys, "--all")
+    assert code == 0 and "total conflict k = 0.600000" in out.splitlines()
+
+
 def test_malformed_mass_sum_exits_2(tmp_path, capsys):
     doc = {"frame": ["A", "B"], "model": {"kind": "shafer"},
            "sources": [{"A": 0.5, "B": 0.4}]}

@@ -197,10 +197,10 @@ def fold_fractions(fracs, model, combine):
     """``bba._fold``'s integer entries as clause tuples mapped to exact masses.
 
     ``combine`` names the fold, ``intersect_canon`` the conjunctive and
-    ``union_canon`` the disjunctive; it runs on the keys ``bba._keying``
+    ``union_canon`` the disjunctive; it runs on the keys ``model.keying()``
     gives for ``model``'s frame, with the clauses the package keeps.
     """
-    key, meet, join = bba._keying(model)[:3]
+    key, meet, join = model.keying()[:3]
     op, clauses_of = {intersect_canon: (meet, bba._concat), union_canon: (join, rules_core._unite)}[combine]
     entries, den = bba._fold(fracs, key, op, clauses_of)
     return {absorb_masks(clauses): Fraction(v, den) for clauses, v in entries.values()}
@@ -457,6 +457,13 @@ def test_pcr5_on_a_fresh_matrix_folds_once_and_walks_once(monkeypatch):
     assert len(folds) == len(set(folds)) == 3 and len(walks) == 3
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("pcr5", "pcr5_variant", "aprox"), ("minc", "minc_version", "c"), ("wao", "wao_mode", "x")])
+def test_an_unknown_rule_variant_is_refused(name, field, value):
+    with pytest.raises(ValueError, match=repr(value)):
+        run_rule(name, hybrid_triple(), options=RuleOptions(**{field: value}))
+
+
 def test_rules_leave_no_reference_cycles():
     m = hybrid_triple()  # built first: the expression parser's closures form cycles
     gc.collect()
@@ -620,6 +627,37 @@ MODEL_SIDE_CASES = st.one_of(
     large_shafer_matrices(2),
     large_shafer_matrices(3),
 )
+
+
+@given(st.one_of(matrices_and_fusion_models(), large_shafer_matrices(2), large_shafer_matrices(3)))
+@settings(max_examples=200, deadline=None)
+def test_the_model_names_conflicts_and_merged_entries_in_one_cache(case):
+    """A conflict's free key never equals a live key, so ``Model.name`` keeps both in one cache.
+
+    The consensus and the walk name their products first; every name must
+    then be what a fresh, equal model reduces the product's clauses to.
+    """
+    m, model = case
+    raw = conjunctive(m, model)
+    nonempty, conflicts, _ = raw.reduced()
+    terms = conflict_ledger(m, model).terms
+    live = model.keying()[4]
+    free_keys = {key for key in raw._entries if not live(key)}
+    assert free_keys.isdisjoint(here for key in raw._entries if (here := live(key)))
+    twin = Model(model.frame, model.kind, model.constraints, model.world, model.theta0_enabled)
+
+    def reference(clauses):
+        return twin.reduce(twin.frame.element(absorb_masks(clauses)))
+
+    names = {key: reference(clauses) for key, (clauses, _) in raw._entries.items()}
+    assert set(conflicts) == {names[key] for key in free_keys}
+    assert set(nonempty) == {e for key, e in names.items() if key not in free_keys}
+    for key, (clauses, _) in raw._entries.items():
+        got = model.name(live(key) or key, clauses)
+        assert got == names[key] and got.empty == (key in free_keys)
+    for term in terms:
+        want = reference([c for e, _ in term.factors for c in e.clauses])
+        assert term.intersection == want and term.intersection.empty and want.empty
 
 
 @given(MODEL_SIDE_CASES)
