@@ -41,9 +41,7 @@ from .lattice import (
     CanonicalElement,
     Frame,
     Model,
-    canonical_form,
     disjunctive_form,
-    is_empty,
     parse_expr,
     shafer_as_hybrid,
 )
@@ -71,9 +69,9 @@ __all__ = [
     "ExprSyntaxError", "MassOnEmptyError", "NegativeMassError",
     "NotNormalizedError", "TotalConflictError", "UnknownLabelError",
     "CLOSED", "FREE", "HYBRID", "OPEN", "SHAFER",
-    "canonical_form", "column_sum", "conflict_ledger", "conjunctive",
+    "column_sum", "conflict_ledger", "conjunctive",
     "dempster", "disjunctive", "disjunctive_form", "dsm_hybrid",
-    "dubois_prade", "is_empty", "minc", "parse_expr",
+    "dubois_prade", "minc", "parse_expr",
     "pcr1", "pcr2", "pcr3", "pcr4", "pcr5_approximate", "pcr5_multi",
     "pcr5_pair", "run_rule", "shafer_as_hybrid", "smets", "to_fraction",
     "vacuous_bba", "validate_bba", "wao", "weighted_operator", "yager",

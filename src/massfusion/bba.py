@@ -231,9 +231,6 @@ class MassMatrix:
     def __getitem__(self, i):
         return self.sources[i]
 
-    def __add__(self, other):
-        return MassMatrix(self.sources + other.sources)
-
     def fractions(self):
         return tuple(src.fractions() for src in self.sources)
 
@@ -275,12 +272,12 @@ def _fold(fracs, key, op, clauses_of):
     """Fold the sources' exact masses left to right, product by product, in integers.
 
     ``key(element)`` keys each focal element, ``op(a, b)`` maps the keys of
-    two factors to the key that receives their product, and
-    ``clauses_of(ka, ca, kb, cb)`` gives a clause tuple for a product, from
-    the factors' keys and clauses, when it reaches a new key.  Entries of
-    the first source that share a key are merged.  Each source is scaled to
-    integer numerators over its own common denominator, so the fold is
-    integer multiply-add.  Returns ``(entries, den)``: ``entries`` maps each
+    two factors to the key ``k`` that receives their product, and
+    ``clauses_of(k, ka, ca, kb, cb)`` gives a clause tuple for a product,
+    from that key and the factors' keys and clauses, when it reaches a new
+    key.  Entries of the first source that share a key are merged.  Each
+    source is scaled to integer numerators over its own common
+    denominator, so the fold is integer multiply-add.  Returns ``(entries, den)``: ``entries`` maps each
     key to ``[clauses, numerator]``, where ``absorb_masks(clauses)`` names
     the entry and ``Fraction(numerator, den)`` is its mass, the same
     rational as a fold of fractions (:func:`_named` builds that view).
@@ -289,7 +286,8 @@ def _fold(fracs, key, op, clauses_of):
     meet, concatenation)``: an entry keeps the concatenated clauses of the
     first product that reaches it, whose absorbed form is their
     intersection, so no entry is named here.  The disjunctive fold passes
-    ``(key, join, rules_core._unite)``, the union of the clauses.
+    ``(key, join, rules_core._unite)``, the union of the clauses, which is
+    the key itself where keys are clause tuples.
     """
     entries, den = _numerators(fracs[0], key)
     acc = {}
@@ -302,14 +300,14 @@ def _fold(fracs, key, op, clauses_of):
             for kb, cb, vb in entries:
                 k = op(ka, kb)
                 if (entry := out.get(k)) is None:
-                    out[k] = [clauses_of(ka, ca, kb, cb), va * vb]
+                    out[k] = [clauses_of(k, ka, ca, kb, cb), va * vb]
                 else:
                     entry[1] += va * vb
         acc, den = out, den * d
     return acc, den
 
 
-def _concat(ka, ca, kb, cb):
+def _concat(k, ka, ca, kb, cb):
     return ca + cb
 
 
@@ -367,9 +365,6 @@ class RawConjunctive:
             nonempty = {model.name(here, clauses): Fraction(v, den) for here, (clauses, v) in groups.items()}
             self._reduced = ordered(nonempty), ordered(conflicts), Fraction(k, den)
         return self._reduced
-
-    def total(self):
-        return Fraction(sum(v for _, v in self._entries.values()), self._den)
 
 
 def conjunctive(matrix, model=None) -> RawConjunctive:
@@ -456,23 +451,21 @@ def involved(model, focal_lists):
 
 @dataclass(frozen=True)
 class ConflictLedger:
-    """PCR5's conflicting product terms, with the total conflict and its partial conflicts."""
+    """PCR5's conflicting product terms; the partial conflicts and ``k`` are the consensus's."""
 
     terms: tuple
-    partials: dict  # free-canonical empty intersection -> summed mass
-    k: Fraction
 
 
 def conflict_ledger(matrix, model=None):
     """Every product of source focal elements whose intersection is empty, for PCR5.
 
-    The partial conflicts and ``k`` are the matrix's conjunctive consensus;
-    the terms come from one :func:`walk_terms` pass, made only when there
-    is conflict.  The ledger is kept on the matrix per model.
+    The terms come from one :func:`walk_terms` pass, made only when the
+    matrix's conjunctive consensus has conflict.  The ledger is kept on the
+    matrix per model.
     """
     model = model or matrix.model
     if model not in matrix._ledgers:
-        _, partials, k = conjunctive(matrix, model).reduced()
+        k = conjunctive(matrix, model).reduced()[2]
         terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
-        matrix._ledgers[model] = ConflictLedger(tuple(terms), partials, k)
+        matrix._ledgers[model] = ConflictLedger(tuple(terms))
     return matrix._ledgers[model]

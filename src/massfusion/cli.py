@@ -32,7 +32,7 @@ from .errors import (
     BeliefFusionError, CapacityError, ExprSyntaxError, ScenarioError, TotalConflictError, UnknownLabelError,
 )
 from .lattice import (
-    CLOSED, FREE, HYBRID, MAX_HYPER_LABELS, SHAFER, Frame, Model, free_clauses, parse_expr, shafer_as_hybrid,
+    CLOSED, FREE, HYBRID, MAX_HYPER_LABELS, SHAFER, Frame, Model, parse_expr, shafer_as_hybrid,
 )
 from .registry import RULE_ORDER, RuleOptions, run_rule
 from .rules_core import conjunctive
@@ -120,7 +120,7 @@ def _constraints(frame, texts, where, path):
     elements = []
     for i, text in enumerate(texts):
         try:
-            elements.append(frame.element(free_clauses(parse_expr(text, frame), frame)))
+            elements.append(parse_expr(text, frame))
         except (UnknownLabelError, ExprSyntaxError) as exc:
             raise ScenarioError(f"{path}: {where} entry {i + 1}: {exc}") from None
     return elements

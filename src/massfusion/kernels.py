@@ -14,12 +14,14 @@ disjunctive or Dubois-Prade fold, and, through :meth:`lattice.Model.name`
 once per key and model, a conflicting product, an element of the
 conjunctive consensus once its entries are merged under a model, or one
 of hybrid DSm's all-empty products (:func:`absorb_masks` of the first
-product's concatenated clauses).  They still do all the
-clause work of the expression parser and the model's prime forms
-(:mod:`lattice`), and of the conjunctive and disjunctive folds, the walk,
-hybrid DSm's fold over empty focal elements and PCR2's involved elements
-on Shafer frames of 7-16 labels; the test oracles and the benchmark's
-tracer use them too.
+product's concatenated clauses).  They still do all the clause work of the
+expression parser, which combines each label's one-clause tuple with
+:func:`intersect_canon` and :func:`union_canon` as it reads, and of the
+model's prime forms (:mod:`lattice`); and of the conjunctive and
+disjunctive folds, the walk, hybrid DSm's fold over empty focal elements
+and PCR2's involved elements on Shafer frames of 7-16 labels, where the
+disjunctive fold's key is the union's clause tuple itself.  The test
+oracles and the benchmark's tracer use them too.
 """
 
 BACKEND = "pure"

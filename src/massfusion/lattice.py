@@ -20,13 +20,14 @@ keeps the mask of regions it leaves alive, so the product passes in
 their keys from :meth:`Model.keying` (region sets there, clause tuples on
 larger Shafer frames), name products through :meth:`Model.name` and order
 mass maps with :func:`ordered`, so only this module knows how elements are
-keyed, named and ordered.  The parser, :meth:`Model.reduce` and the prime
-forms still work on clause tuples through :mod:`kernels`.
+keyed, named and ordered.  The expression parser builds clause tuples
+directly, with no parse tree: each label is a one-clause tuple, combined
+by the :mod:`kernels` as it is read.  :meth:`Model.reduce` and the prime
+forms work on clause tuples through the kernels too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, attrgetter, or_
 
@@ -140,14 +141,6 @@ class CanonicalElement:
             m |= c
         return m
 
-    def contains(self, other):
-        """Free-lattice containment: does this element include ``other``?
-
-        For reduced conjunctive normal forms, X includes Y exactly when every
-        clause of X has some clause of Y as a subset.
-        """
-        return all(any(f & ~e == 0 for f in other.clauses) for e in self.clauses)
-
     def __eq__(self, other):
         return isinstance(other, CanonicalElement) and self.clauses == other.clauses
 
@@ -183,79 +176,62 @@ def ordered(masses):
 # --- set expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Label:
-    name: str
-
-
-@dataclass(frozen=True)
-class UnionOf:
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-@dataclass(frozen=True)
-class InterOf:
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-SetExpr = Label | UnionOf | InterOf
-
-
-def parse_expr(text, frame):
-    """Parse a set expression over the frame's labels.
+def free_clauses(text, frame):
+    """Parse a set expression over the frame's labels to its free canonical clause tuple.
 
     Grammar: ``expr := term ('|' term)*``, ``term := atom ('&' atom)*``,
     ``atom := label | '(' expr ')'``.  Intersection binds tighter than
-    union; whitespace is ignored.
+    union; whitespace is ignored.  The parser builds clause tuples as it
+    reads: a label is ``(1 << i,)``, a term folds its atoms with
+    :func:`intersect_canon` and an expression its terms with
+    :func:`union_canon`.  Each open parenthesis keeps the enclosing
+    expression's partial union and term on an explicit stack, so any depth
+    parses.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() == "|":
-            take()
-            node = UnionOf(node, term())
-        return node
-
-    def term():
-        node = atom()
-        while peek() == "&":
-            take()
-            node = InterOf(node, atom())
-        return node
-
-    def atom():
-        kind, value, off = take() if pos < len(tokens) else (None, None, len(text))
-        if kind == "label":
-            if value not in frame._index:
-                raise UnknownLabelError(value, off)
-            return Label(value)
-        if kind == "(":
-            node = expr()
-            if peek() != ")":
-                raise ExprSyntaxError("expected ')'", tokens[pos][2] if pos < len(tokens) else len(text))
-            take()
-            return node
-        raise ExprSyntaxError("expected a label or '('", off)
-
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
-    node = expr()
-    if pos != len(tokens):
-        raise ExprSyntaxError(f"unexpected {tokens[pos][1]!r}", tokens[pos][2])
-    return node
+    index = frame._index
+    stack = []  # per open parenthesis: the enclosing (union, term) read so far
+    union = term = None
+    want_atom = True
+    for kind, value, off in tokens:
+        if want_atom:
+            if kind == "(":
+                stack.append((union, term))
+                union = term = None
+                continue
+            if kind != "label":
+                raise ExprSyntaxError("expected a label or '('", off)
+            if value not in index:
+                raise UnknownLabelError(value, off)
+            atom = (1 << index[value],)
+        elif kind == "&":
+            want_atom = True
+            continue
+        elif kind == "|":
+            union = term if union is None else union_canon(union, term)
+            term, want_atom = None, True
+            continue
+        elif kind == ")" and stack:
+            atom = term if union is None else union_canon(union, term)
+            union, term = stack.pop()
+        elif stack:
+            raise ExprSyntaxError("expected ')'", off)
+        else:
+            raise ExprSyntaxError(f"unexpected {value!r}", off)
+        term = atom if term is None else intersect_canon(term, atom)
+        want_atom = False
+    if want_atom:
+        raise ExprSyntaxError("expected a label or '('", len(text))
+    if stack:
+        raise ExprSyntaxError("expected ')'", len(text))
+    return term if union is None else union_canon(union, term)
+
+
+def parse_expr(text, frame):
+    """Parse a set expression (:func:`free_clauses`) to its free canonical element."""
+    return frame.element(free_clauses(text, frame))
 
 
 def _tokenize(text):
@@ -277,32 +253,15 @@ def _tokenize(text):
     return tokens
 
 
-def free_clauses(expr, frame):
-    """Reduce a parse tree to its canonical clause tuple on the free lattice."""
-    if isinstance(expr, Label):
-        return (1 << frame.index(expr.name),)
-    if isinstance(expr, InterOf):
-        return intersect_canon(free_clauses(expr.left, frame), free_clauses(expr.right, frame))
-    if isinstance(expr, UnionOf):
-        return union_canon(free_clauses(expr.left, frame), free_clauses(expr.right, frame))
-    raise TypeError(f"not a set expression: {expr!r}")
-
-
-def expr_labels_mask(expr, frame):
-    if isinstance(expr, Label):
-        return 1 << frame.index(expr.name)
-    return expr_labels_mask(expr.left, frame) | expr_labels_mask(expr.right, frame)
-
-
 def disjunctive_form(expr, frame):
-    """The union of all singletons occurring in the expression.
+    """The union of all singletons occurring in an element (or its text).
 
-    Rewrites both connectives to union, so the result is always a single
-    clause collecting every label mentioned.
+    Rewrites both connectives of the element's canonical form to union, so
+    the result is always a single clause collecting every label it holds.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr, frame)
-    return frame.element((expr_labels_mask(expr, frame),))
+    return frame.element((expr.labels_mask(),))
 
 
 # --- models ---------------------------------------------------------------
@@ -407,11 +366,11 @@ class Model:
         return ~(killed & full)
 
     def _free_element(self, spec):
+        if isinstance(spec, str):
+            return parse_expr(spec, self.frame)
         if isinstance(spec, CanonicalElement):
             return spec
-        if isinstance(spec, str):
-            spec = parse_expr(spec, self.frame)
-        return self.frame.element(free_clauses(spec, self.frame))
+        raise TypeError(f"not a set expression: {spec!r}")
 
     def canonical(self, spec):
         """Parse/normalize ``spec`` and reduce it under this model."""
@@ -497,15 +456,6 @@ class Model:
         table = _REGION_TABLES[self.frame.n]
         return absorb_masks([c for c in range(1, len(table)) if not cellmask & ~table[c]])
 
-    def is_empty(self, element):
-        return self.reduce(element).empty
-
-    def element_union(self, a, b):
-        return self.reduce(self.frame.element(union_canon(a.clauses, b.clauses)))
-
-    def element_intersection(self, a, b):
-        return self.reduce(self.frame.element(intersect_canon(a.clauses, b.clauses)))
-
     def total_ignorance(self):
         return self.reduce(self.frame.total_ignorance())
 
@@ -539,12 +489,3 @@ def shafer_as_hybrid(frame, world=CLOSED, theta0=False):
             constraints.append(frame.element(absorb_masks([1 << i, 1 << j])))
     return Model(frame, HYBRID, constraints, world=world, theta0=theta0)
 
-
-def canonical_form(expr, model):
-    """Canonical form of an expression (or its text) under a model."""
-    return model.canonical(expr)
-
-
-def is_empty(element, model):
-    """True when the element is empty under the model's constraints."""
-    return model.is_empty(element)

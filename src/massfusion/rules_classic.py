@@ -81,7 +81,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
     top = live(key(ignorance))
 
-    def clauses_of(ka, ca, kb, cb):
+    def clauses_of(k, ka, ca, kb, cb):
         return ca + cb if ka & kb else union_canon(ca, cb) if ka | kb else ignorance.clauses
 
     entries, den = _fold(matrix.fractions(), lambda e: live(key(e)),

@@ -40,5 +40,6 @@ def disjunctive(matrix, model=None) -> Bba:
     return _finish(model, _named(*_fold(matrix.fractions(), key, join, _unite), model.frame))
 
 
-def _unite(ka, ca, kb, cb):
-    return union_canon(ca, cb)
+def _unite(k, ka, ca, kb, cb):
+    """The clauses of a union: the key itself when keys are clause tuples (:meth:`Model.keying`)."""
+    return k if type(k) is tuple else union_canon(ca, cb)

@@ -131,11 +131,6 @@ def _term_unit(model, term):
     return term.factors, term.product, [(None, dests)], list(groups)
 
 
-def _transfer_term(model, out, term, diag):
-    """Split one conflicting product term into ``out``."""
-    redistribute(model, out, [_term_unit(model, term)], diag)
-
-
 def _pcr5(matrix, model, terms, diag):
     """Rational PCR5 masses: the consensus's non-empty masses plus every term, split within itself."""
     out = dict(conjunctive(matrix, model).reduced()[0])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from massfusion import FREE, HYBRID, SHAFER, Bba, Frame, MassMatrix, Model
-from massfusion.kernels import absorb_masks
+from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 
 
 def assert_bba(result, expected, tol=5e-5):
@@ -22,6 +22,16 @@ def assert_bba(result, expected, tol=5e-5):
     for elem, mass in result.items():
         if elem not in seen:
             assert mass == pytest.approx(0.0, abs=tol), f"unexpected mass on {elem}: {mass}"
+
+
+def union_of(model, a, b):
+    """The union of two elements, reduced under ``model``."""
+    return model.reduce(model.frame.element(union_canon(a.clauses, b.clauses)))
+
+
+def intersection_of(model, a, b):
+    """The intersection of two elements, reduced under ``model``."""
+    return model.reduce(model.frame.element(intersect_canon(a.clauses, b.clauses)))
 
 
 def subsets(labels):

@@ -12,11 +12,21 @@ its conflict ledger.  The fold reference takes clause-tuple combine
 functions, the package's kernels or the Dubois-Prade combine here, and
 checks only the arithmetic.  The Dubois-Prade combine reduces every product
 under the model, where the package's fold intersects and unites the keys
-the model leaves alive.
+the model leaves alive.  :func:`contains` tests free-lattice containment
+on the package's clause tuples, with no package code.
 """
 
 from fractions import Fraction
 from itertools import product
+
+
+def contains(x, y):
+    """Free-lattice containment: does element ``x`` include element ``y``?
+
+    For reduced conjunctive normal forms, X includes Y exactly when every
+    clause of X has some clause of Y as a subset.
+    """
+    return all(any(f & ~e == 0 for f in y.clauses) for e in x.clauses)
 
 
 class RegionOracle:
@@ -196,7 +206,7 @@ def conflict_ledger_reference(matrix, model=None):
             for j, (other, _) in enumerate(combo):
                 if j != i:
                     rest = other.clauses if rest is None else intersect_canon(rest, other.clauses)
-            if not elem.contains(frame.element(rest)):
+            if not contains(elem, frame.element(rest)):
                 involved.add(elem)
     partials = {}
     for _, prod, inter in terms:
@@ -211,13 +221,15 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
     ``focal_lists`` holds one sorted list of ``(element, exact mass)``
     pairs per source.  Each product term is handled as soon as it is
     formed: a non-empty one adds its product to its reduced intersection,
-    a conflicting one is split at once by the package's per-term transfer.
+    a conflicting one is split at once by the package's per-term unit and
+    redistribution loop.
     Returns the rational masses; records and fallbacks go to ``diag`` in
     product order.
     """
     from massfusion.bba import ConflictTerm
     from massfusion.kernels import intersect_canon
-    from massfusion.rules_pcr import _transfer_term
+    from massfusion._transfer import redistribute
+    from massfusion.rules_pcr import _term_unit
 
     frame = model.frame
     out = {}
@@ -232,7 +244,7 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
             out[red] = out.get(red, Fraction(0)) + prod
         else:
             term = ConflictTerm(tuple(combo), prod, frame.element(clauses, empty=True))
-            _transfer_term(model, out, term, diag)
+            redistribute(model, out, [_term_unit(model, term)], diag)
     return {k: out[k] for k in sorted(out)}
 
 

@@ -15,6 +15,7 @@ from massfusion import (
     FREE,
     column_sum,
     conflict_ledger,
+    conjunctive,
     to_fraction,
     vacuous_bba,
     validate_bba,
@@ -102,7 +103,7 @@ def test_column_sums_add_over_concatenated_matrices(rng):
         model, sources = random_shafer_case(rng)
         left = MassMatrix(sources)
         right = MassMatrix([sources[0]])
-        both = left + right
+        both = MassMatrix(left.sources + right.sources)
         for elem in left.column_sums():
             assert column_sum(both, elem) == pytest.approx(
                 column_sum(left, elem) + column_sum(right, elem))
@@ -114,9 +115,9 @@ def test_column_sums_add_over_concatenated_matrices(rng):
 def test_zadeh_conflict_breakdown(shafer_abc):
     m1 = Bba(shafer_abc, {"A": 0.9, "C": 0.1})
     m2 = Bba(shafer_abc, {"B": 0.9, "C": 0.1})
-    ledger = conflict_ledger(MassMatrix([m1, m2]))
-    assert float(ledger.k) == pytest.approx(0.99)
-    partials = {str(e): float(v) for e, v in ledger.partials.items()}
+    _, conflicts, k = conjunctive(MassMatrix([m1, m2])).reduced()
+    assert float(k) == pytest.approx(0.99)
+    partials = {str(e): float(v) for e, v in conflicts.items()}
     assert partials == {"A&B": pytest.approx(0.81), "A&C": pytest.approx(0.09),
                         "B&C": pytest.approx(0.09)}
 
@@ -124,9 +125,9 @@ def test_zadeh_conflict_breakdown(shafer_abc):
 def test_bayesian_pair_conflict(shafer_abc):
     m1 = Bba(shafer_abc, {"A": 0.6, "B": 0.3, "C": 0.1})
     m2 = Bba(shafer_abc, {"A": 0.4, "B": 0.4, "C": 0.2})
-    ledger = conflict_ledger(MassMatrix([m1, m2]))
-    assert float(ledger.k) == pytest.approx(0.62)
-    partials = {str(e): float(v) for e, v in ledger.partials.items()}
+    _, conflicts, k = conjunctive(MassMatrix([m1, m2])).reduced()
+    assert float(k) == pytest.approx(0.62)
+    partials = {str(e): float(v) for e, v in conflicts.items()}
     assert partials["A&B"] == pytest.approx(0.36)
     assert partials["A&C"] == pytest.approx(0.16)
     assert partials["B&C"] == pytest.approx(0.10)
@@ -134,9 +135,9 @@ def test_bayesian_pair_conflict(shafer_abc):
 
 def test_identical_certain_sources_have_no_conflict(shafer_ab):
     m = Bba(shafer_ab, {"A": 1.0})
-    ledger = conflict_ledger(MassMatrix([m, m]))
-    assert ledger.k == 0
-    assert not ledger.terms
+    matrix = MassMatrix([m, m])
+    assert conjunctive(matrix).reduced()[2] == 0
+    assert not conflict_ledger(matrix).terms
 
 
 def test_ledger_totals_agree_exactly(rng):
@@ -144,13 +145,11 @@ def test_ledger_totals_agree_exactly(rng):
         model, sources = random_shafer_case(rng)
         matrix = MassMatrix(sources)
         ledger = conflict_ledger(matrix)
-        assert sum(t.product for t in ledger.terms) == ledger.k
-        assert sum(ledger.partials.values(), Fraction(0)) == ledger.k
-        assert 0 <= float(ledger.k) <= 1 + 1e-12
-        from massfusion import conjunctive
-        nonempty, _, k2 = conjunctive(matrix).reduced()
-        assert k2 == ledger.k
-        assert 1 - sum(nonempty.values()) == ledger.k
+        nonempty, partials, k = conjunctive(matrix).reduced()
+        assert sum(t.product for t in ledger.terms) == k
+        assert sum(partials.values(), Fraction(0)) == k
+        assert 0 <= float(k) <= 1 + 1e-12
+        assert 1 - sum(nonempty.values()) == k
 
 
 def test_involved_elements_appear_in_terms(rng):
@@ -176,7 +175,8 @@ def test_free_model_has_no_involvement(frame_abc, rng):
     m1 = Bba(model, {"A": 0.9, "C": 0.1})
     m2 = Bba(model, {"B": 0.9, "C": 0.1})
     m = MassMatrix([m1, m2])
-    assert conflict_ledger(m).k == 0
+    assert conjunctive(m).reduced()[2] == 0
+    assert not conflict_ledger(m).terms
     assert not bba.involved(model, m.fractions())
 
 
@@ -187,8 +187,9 @@ def test_ledger_matches_the_flat_product_reference(matrix):
     terms, partials, k, involved = conflict_ledger_reference(matrix)
     assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
     assert list(ledger.terms) == sorted(ledger.terms, key=lambda t: [e.clauses for e, _ in t.factors])
-    assert list(ledger.partials.items()) == sorted(partials.items())
-    assert ledger.k == k
+    _, got_partials, got_k = conjunctive(matrix).reduced()
+    assert list(got_partials.items()) == sorted(partials.items())
+    assert got_k == k
     assert bba.involved(matrix.model, matrix.fractions()) == involved
 
 

@@ -298,6 +298,24 @@ def test_dynamic_emptiness_in_scenario(tmp_path, capsys):
     assert "sum below one" in out
 
 
+def test_deeply_nested_expressions_parse_in_every_field(tmp_path, capsys):
+    def deep(text):
+        return "(" * 5000 + text + ")" * 5000
+
+    flat = {"frame": ["A", "B", "C"], "model": {"kind": "hybrid", "empty": ["A&B"]},
+            "sources": [{"A": 0.6, "C": 0.4}, {"B": 0.7, "A|C": 0.3}], "dynamic_empty": ["C"]}
+    nested = dict(flat, model={"kind": "hybrid", "empty": [deep("A&B")]},
+                  sources=[{deep("A"): 0.6, "C": 0.4}, {"B": 0.7, deep("A|C"): 0.3}],
+                  dynamic_empty=[deep("C")])
+    outputs = []
+    for doc in (nested, flat):
+        assert main([write(tmp_path, doc), "--all"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 def test_table_keeps_the_deficit_line_when_no_focal_element_is_left(tmp_path, capsys):
     doc = {"frame": ["A", "B", "C"], "model": {"kind": "shafer"},
            "sources": [{"A": 1.0}, {"B": 1.0}], "dynamic_empty": ["A", "B"]}

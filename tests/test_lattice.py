@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from massfusion import (
+    Bba,
     CapacityError,
     ExprSyntaxError,
     FREE,
@@ -12,14 +13,11 @@ from massfusion import (
     Model,
     SHAFER,
     UnknownLabelError,
-    canonical_form,
     disjunctive_form,
-    is_empty,
     parse_expr,
     shafer_as_hybrid,
 )
-from massfusion.lattice import InterOf, Label, UnionOf
-
+from conftest import intersection_of, union_of
 from oracles import RegionOracle, prime_clauses_of_regions
 
 
@@ -56,16 +54,20 @@ def test_hyper_power_models_cap_at_six_labels():
 
 
 def test_parse_single_label(frame_ab):
-    assert parse_expr("A", frame_ab) == Label("A")
+    assert parse_expr("A", frame_ab) == frame_ab.singleton("A")
+    assert parse_expr("A", frame_ab).clauses == (0b01,)
 
 
 def test_parse_union(frame_ab):
-    assert parse_expr("A|B", frame_ab) == UnionOf(Label("A"), Label("B"))
+    assert parse_expr("A|B", frame_ab).clauses == (0b11,)
 
 
 def test_intersection_binds_tighter_than_union(frame_abc):
-    assert parse_expr("A|B&C", frame_abc) == UnionOf(Label("A"), InterOf(Label("B"), Label("C")))
-    assert parse_expr("(A|B)&C", frame_abc) == InterOf(UnionOf(Label("A"), Label("B")), Label("C"))
+    loose = parse_expr("A|B&C", frame_abc)
+    assert loose == parse_expr("A|(B&C)", frame_abc)
+    assert loose != parse_expr("(A|B)&C", frame_abc)
+    assert loose.clauses == (0b011, 0b101)  # (A|B)&(A|C)
+    assert parse_expr("(A|B)&C", frame_abc).clauses == (0b011, 0b100)
 
 
 def test_parse_is_whitespace_insensitive(frame_abc):
@@ -73,65 +75,81 @@ def test_parse_is_whitespace_insensitive(frame_abc):
 
 
 def test_parse_reports_offsets(frame_ab):
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("A|", frame_ab)
-    assert err.value.offset == 2
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("(A|B", frame_ab)
-    assert err.value.offset == 4
+    for text, message, offset in [
+        ("", "empty expression", 0),
+        ("&A", "expected a label or '('", 0),
+        ("A)", "unexpected ')'", 1),
+        ("A B", "unexpected 'B'", 2),
+        ("()", "expected a label or '('", 1),
+        ("A|", "expected a label or '('", 2),
+        ("(A|B", "expected ')'", 4),
+    ]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, frame_ab)
+        assert str(err.value) == f"{message} (at offset {offset})", text
+        assert err.value.offset == offset, text
     with pytest.raises(UnknownLabelError) as err:
         parse_expr("A|Q", frame_ab)
+    assert str(err.value) == "unknown label 'Q' (at offset 2)"
     assert err.value.label == "Q"
     assert err.value.offset == 2
+
+
+def test_parse_takes_any_depth(frame_ab):
+    deep = "(" * 5000 + "A" + ")" * 5000
+    single = parse_expr("A", frame_ab)
+    assert parse_expr(deep, frame_ab) == single
+    assert parse_expr("&".join(["A"] * 1000), frame_ab) == single
+    assert Bba(Model(frame_ab, SHAFER), {deep: 1.0})["A"] == 1.0
 
 
 def test_roundtrip_printing(frame_abc):
     model = Model(frame_abc, FREE)
     for text in ["A", "A|B", "A&B", "(A|B)&C", "(A|B)&(A|C)", "A&B&C"]:
-        elem = canonical_form(text, model)
-        assert canonical_form(str(elem), model) == elem
+        elem = model.canonical(text)
+        assert model.canonical(str(elem)) == elem
 
 
 # --- canonical forms --------------------------------------------------------
 
 
 def test_intersection_with_covering_union_is_dropped(frame_abc, free_abc):
-    assert str(canonical_form("(A&B)&(A|B|C)", free_abc)) == "A&B"
+    assert str(free_abc.canonical("(A&B)&(A|B|C)")) == "A&B"
 
 
 def test_total_ignorance_is_neutral_for_intersection(frame_ab):
     model = Model(frame_ab, FREE)
-    assert str(canonical_form("(A|B)&A", model)) == "A"
+    assert str(model.canonical("(A|B)&A")) == "A"
 
 
 def test_shafer_collapse_of_exclusive_intersections(frame_ab):
     model = Model(frame_ab, SHAFER)
-    elem = canonical_form("A&B&(A|B)", model)
+    elem = model.canonical("A&B&(A|B)")
     assert str(elem) == "A&B"
     assert elem.empty
 
 
 def test_union_with_dead_intersection_reduces_to_label(frame_abc, shafer_abc):
-    assert str(canonical_form("A|(B&C)", shafer_abc)) == "A"
+    assert str(shafer_abc.canonical("A|(B&C)")) == "A"
 
 
 def test_hybrid_constraint_empties_only_what_it_covers(frame_abc):
     model = Model(frame_abc, HYBRID, ["A&B"])
-    assert is_empty(canonical_form("A&B", model), model)
-    assert not is_empty(canonical_form("A&C", model), model)
-    assert is_empty(canonical_form("A&B&C", model), model)
+    assert model.reduce(parse_expr("A&B", frame_abc)).empty
+    assert not model.reduce(parse_expr("A&C", frame_abc)).empty
+    assert model.reduce(parse_expr("A&B&C", frame_abc)).empty
 
 
 def test_hybrid_reduction_removes_dead_branches(frame_abc):
     model = Model(frame_abc, HYBRID, ["A&B"])
-    assert str(canonical_form("A&(B|C)", model)) == "A&C"
+    assert str(model.canonical("A&(B|C)")) == "A&C"
 
 
 def test_canonical_form_is_idempotent(frame_abc):
     for kind, constraints in [(FREE, ()), (SHAFER, ()), (HYBRID, ["A&B"])]:
         model = Model(frame_abc, kind, constraints)
         for text in ["A", "A|B", "A&B", "(A|B)&C", "A|(B&C)", "A&B&C"]:
-            once = canonical_form(text, model)
+            once = model.canonical(text)
             again = model.reduce(once)
             assert again == once
             assert again.empty == once.empty
@@ -140,7 +158,7 @@ def test_canonical_form_is_idempotent(frame_abc):
 def test_clauses_form_an_antichain(frame_abc):
     model = Model(frame_abc, FREE)
     for text in ["A&(A|B)", "(A|B)&(A|B|C)", "(A&B)|(A&B&C)", "((A|B)&C)|A"]:
-        elem = canonical_form(text, model)
+        elem = model.canonical(text)
         for c1, c2 in itertools.permutations(elem.clauses, 2):
             assert c1 & ~c2 != 0, f"{text}: clause {c1} absorbed by {c2}"
 
@@ -149,8 +167,8 @@ def test_shafer_model_equals_its_hybrid_spelling(frame_abc):
     shafer = Model(frame_abc, SHAFER)
     hybrid = shafer_as_hybrid(frame_abc)
     for text in ["A", "A|B", "A&B", "A|(B&C)", "(A|B)&(A|C)", "A&B&C", "(A|B)&C"]:
-        a = canonical_form(text, shafer)
-        b = canonical_form(text, hybrid)
+        a = shafer.canonical(text)
+        b = hybrid.canonical(text)
         assert a == b
         assert a.empty == b.empty
 
@@ -168,6 +186,8 @@ def test_disjunctive_form_rewrites_intersection_to_union(frame_ab):
 
 def test_disjunctive_form_collects_all_labels(frame_abc):
     assert str(disjunctive_form("(A&B)|C", frame_abc)) == "A|B|C"
+    # the form is the element's: labels the canonical form absorbs are not collected
+    assert disjunctive_form("A|(A&B)", frame_abc) == disjunctive_form(parse_expr("A", frame_abc), frame_abc)
 
 
 def test_disjunctive_form_never_empty_with_live_singleton(frame_abc):
@@ -188,7 +208,7 @@ def _all_elements(model, labels):
         fresh = set()
         for a in reached:
             for b in reached:
-                for combined in (model.element_union(a, b), model.element_intersection(a, b)):
+                for combined in (union_of(model, a, b), intersection_of(model, a, b)):
                     if combined not in reached:
                         fresh.add(combined)
         if not fresh:
@@ -210,8 +230,8 @@ def test_free_lattice_matches_region_semantics(n):
     # induction every expression tree over the lattice agrees with it
     for a in elements:
         for b in elements:
-            assert regions[model.element_union(a, b)] == regions[a] | regions[b]
-            inter = model.element_intersection(a, b)
+            assert regions[union_of(model, a, b)] == regions[a] | regions[b]
+            inter = intersection_of(model, a, b)
             got = regions[a] & regions[b]
             if inter.empty:
                 assert not got
@@ -232,7 +252,7 @@ def test_prime_form_matches_oracle_reconstruction(frame_abc):
     model = Model(frame_abc, FREE)
     oracle = RegionOracle(frame_abc.labels)
     for text in ["A|(B&C)", "(A|B)&(A|C)", "(A&B)|(B&C)|(A&C)", "A&B&C", "A|B|C"]:
-        elem = canonical_form(text, model)
+        elem = model.canonical(text)
         regs = oracle.evaluate(text)
         assert elem.clauses == prime_clauses_of_regions(regs, frame_abc.n)
 
@@ -253,7 +273,7 @@ def test_random_expressions_agree_with_region_oracle(text):
     frame = Frame(["A", "B", "C"])
     model = Model(frame, FREE)
     oracle = RegionOracle(frame.labels)
-    elem = canonical_form(text, model)
+    elem = model.canonical(text)
     assert oracle.evaluate(str(elem)) == oracle.evaluate(text)
 
 
@@ -264,7 +284,7 @@ def test_equal_region_sets_iff_equal_canonical_forms(t1, t2):
     model = Model(frame, FREE)
     oracle = RegionOracle(frame.labels)
     same_regions = oracle.evaluate(t1) == oracle.evaluate(t2)
-    same_canonical = canonical_form(t1, model) == canonical_form(t2, model)
+    same_canonical = model.canonical(t1) == model.canonical(t2)
     assert same_regions == same_canonical
 
 
@@ -284,7 +304,7 @@ def test_hybrid_reduce_matches_region_oracle(case):
     oracle = RegionOracle(labels)
     alive = oracle.universe.difference(*(oracle.evaluate(c) for c in constraints))
     regions = oracle.evaluate(text) & alive
-    reduced = canonical_form(text, model)
+    reduced = model.canonical(text)
     assert reduced.empty == (not regions)
     if regions:
         assert reduced.clauses == prime_clauses_of_regions(regions, len(labels))

@@ -29,7 +29,7 @@ from massfusion import (
     shafer_as_hybrid,
     vacuous_bba,
 )
-from massfusion import bba, registry, rules_classic, rules_core, rules_pcr
+from massfusion import bba, lattice, registry, rules_classic, rules_core, rules_pcr
 from massfusion.lattice import MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 
 from massfusion import dubois_prade, to_fraction
@@ -38,7 +38,7 @@ from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 from massfusion._transfer import redistribute
 from massfusion.rules_core import _finish
 
-from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
+from conftest import assert_bba, exact_matrices, matrix, random_shafer_case, union_of
 from oracles import (
     conflict_ledger_reference,
     conjunctive_reference,
@@ -77,7 +77,7 @@ def test_conjunctive_pair_on_free_lattice(two_theta_pair):
     got = {str(e): float(v) for e, v in nonempty.items()}
     assert got == {"t1": pytest.approx(0.35), "t2": pytest.approx(0.33),
                    "t1|t2": pytest.approx(0.21), "t1&t2": pytest.approx(0.11)}
-    assert raw.total() == 1
+    assert sum(raw.masses.values()) == 1
 
 
 def test_three_source_conjunctive(shafer_ab):
@@ -157,7 +157,7 @@ def test_disjunctive_core_is_union_of_cores(rng):
         for combo in itertools.product(*[list(src) for src in sources]):
             union = combo[0]
             for e in combo[1:]:
-                union = model.element_union(union, e)
+                union = union_of(model, union, e)
             combined_core.add(union)
         assert set(result) <= combined_core
         for elem in result:
@@ -282,8 +282,9 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     ledger = conflict_ledger(m)
     terms, partials, k, involved = conflict_ledger_reference(m)
     assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
-    assert list(ledger.partials.items()) == sorted(partials.items())
-    assert ledger.k == k
+    _, got_partials, got_k = conjunctive(m).reduced()
+    assert list(got_partials.items()) == sorted(partials.items())
+    assert got_k == k
     assert bba.involved(model, m.fractions()) == involved
 
 
@@ -352,17 +353,18 @@ def test_a_long_lived_hybrid_model_fuses_a_stream_like_fresh_models(rng):
             kept[name], fresh[name] = got, want.fractions()
 
 
-def large_shafer_case(rng, s):
-    """A Shafer model on 7-16 labels, above the region-set frames, and ``s`` exact sources.
+def large_shafer_case(rng, s, n=None, focals=4):
+    """A Shafer model on ``n`` labels (7-16 at random), above the region-set frames, and ``s`` exact sources.
 
-    Focal elements have one to three labels, so products often conflict.
+    Each source draws ``focals`` focal elements of one to three labels
+    (fewer when draws repeat), so products often conflict.
     """
-    n = rng.randint(MAX_HYPER_LABELS + 1, MAX_POWERSET_LABELS)
+    n = n or rng.randint(MAX_HYPER_LABELS + 1, MAX_POWERSET_LABELS)
     frame = Frame([f"h{i}" for i in range(n)])
     model = Model(frame, SHAFER)
     sources = []
     for _ in range(s):
-        masks = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 3))) for _ in range(4)}
+        masks = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 3))) for _ in range(focals)}
         weights = [rng.randint(1, 10 ** 6) for _ in masks]
         sources.append(Bba(model, {frame.element((mask,)): Fraction(w, sum(weights))
                                    for mask, w in zip(sorted(masks), weights)}))
@@ -387,6 +389,34 @@ def test_rules_on_large_shafer_frames_match_the_references(rng, s):
         for key, value in pcr5_reference(tables).items():
             assert got[model.canonical("|".join(sorted(key)))] == pytest.approx(float(value), abs=1e-12)
         assert got.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_disjunctive_fold_unites_each_product_once_on_large_shafer_frames(rng):
+    # on 7-16 labels the fold's key is the union's clause tuple, which also names the entry
+    model, sources = large_shafer_case(rng, 4, n=16, focals=8)
+    m = MassMatrix(sources)
+    fracs = m.fractions()
+    products, keys = 0, {e.clauses for e in fracs[0]}
+    for src in fracs[1:]:
+        products += len(keys) * len(src)
+        keys = {union_canon(k, e.clauses) for k in keys for e in src}
+    calls = {"lattice": 0, "rules_core": 0}
+
+    def counted(module):
+        def wrapper(a, b):
+            calls[module] += 1
+            return union_canon(a, b)
+        return wrapper
+
+    with patch.object(lattice, "union_canon", counted("lattice")), \
+            patch.object(rules_core, "union_canon", counted("rules_core")):
+        got = disjunctive(m)
+    assert calls == {"lattice": products, "rules_core": 0}
+    merged = {}
+    for clauses, v in fraction_fold_reference(fracs, union_canon).items():
+        key = model.reduce(model.frame.element(clauses))
+        merged[key] = merged.get(key, Fraction(0)) + v
+    assert got == Bba(model, {k: float(v) for k, v in merged.items()})
 
 
 # --- one consensus per matrix -------------------------------------------------
@@ -444,7 +474,10 @@ def test_a_matrix_keeps_one_ledger_per_model():
     ledger = conflict_ledger(m)
     assert conflict_ledger(m) is ledger and conflict_ledger(m, m.model) is ledger
     _, partials, k = conjunctive(m).reduced()
-    assert ledger.partials == partials and ledger.k == k
+    summed = {}
+    for term in ledger.terms:
+        summed[term.intersection] = summed.get(term.intersection, 0) + term.product
+    assert summed == partials and sum(summed.values()) == k
     assert conflict_ledger(m, Model(m.model.frame, FREE)) is not ledger
 
 
