@@ -41,7 +41,6 @@ from .lattice import (
     CanonicalElement,
     Frame,
     Model,
-    disjunctive_form,
     parse_expr,
     shafer_as_hybrid,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "NotNormalizedError", "TotalConflictError", "UnknownLabelError",
     "CLOSED", "FREE", "HYBRID", "OPEN", "SHAFER",
     "column_sum", "conflict_ledger", "conjunctive",
-    "dempster", "disjunctive", "disjunctive_form", "dsm_hybrid",
+    "dempster", "disjunctive", "dsm_hybrid",
     "dubois_prade", "minc", "parse_expr",
     "pcr1", "pcr2", "pcr3", "pcr4", "pcr5_approximate", "pcr5_multi",
     "pcr5_pair", "run_rule", "shafer_as_hybrid", "smets", "to_fraction",

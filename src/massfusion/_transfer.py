@@ -1,39 +1,20 @@
 """The one redistribution loop, and the helpers its rules share.
 
 Every redistributing rule hands its conflict to :func:`redistribute` as
-units ``(source, mass, weightings, elements)``.  ``source`` names the
+units ``(source, mass, weightings, mask)``.  ``source`` names the
 conflict in the diagnostics.  ``weightings`` is an ordered list of
 ``(stage, [(element, weight), ...])``: the first non-empty one splits
 ``mass`` by weight, and a named stage (``"column-sums"``) also records a
 fallback.  When every weighting is empty, :func:`fallback_chain` sends
-``mass`` to the disjunctive form of ``elements``, else to the total
-ignorance, else to θ0 when enabled, else to ∅; with no ``elements`` (the
-whole conflict, as in Yager's rule) it starts at the total ignorance.
+``mass`` to the disjunctive form of ``mask``, a mask of labels
+(:meth:`Model.disjunctive`), else to the total ignorance, else to θ0 when
+enabled, else to ∅; with mask 0 (the whole conflict, as in Yager's rule)
+it starts at the total ignorance.
 """
 
 from __future__ import annotations
 
 from .bba import accumulate
-
-
-def u_of(model, elements):
-    """Disjunctive form of a group of elements: one clause of all their labels."""
-    mask = 0
-    for e in elements:
-        mask |= e.labels_mask()
-    if mask == 0:
-        return model.frame.empty_element()
-    return model.reduce(model.frame.element((mask,)))
-
-
-def components(model, conflict):
-    """Distinct reduced clause elements of a conflict, in clause order.
-
-    Under dynamic constraints two clauses can collapse to one element;
-    counting it twice would skew the proportional split.
-    """
-    return list(dict.fromkeys(
-        model.reduce(model.frame.element((c,))) for c in conflict.clauses))
 
 
 def add(out, element, amount):
@@ -51,15 +32,15 @@ def proportional(out, source, mass, weighted, diag=None):
             diag.record(source, elem, share, constant)
 
 
-def fallback_chain(model, out, source, mass, elements, diag=None):
+def fallback_chain(model, out, source, mass, mask, diag=None):
     """Send ``mass`` to the first non-empty stage of the degenerate-case chain.
 
-    The stages are the disjunctive form of ``elements`` (skipped when there
-    are none), the total ignorance, then θ0 if enabled, else ∅.  Each is
-    built only when the one before it is empty under the model.
+    The stages are the disjunctive form of the label ``mask`` (∅ for mask
+    0), the total ignorance, then θ0 if enabled, else ∅.  Each is built only
+    when the one before it is empty under the model.
     """
     frame = model.frame
-    name, elem = "disjunctive-form", u_of(model, elements)
+    name, elem = "disjunctive-form", model.disjunctive(mask)
     if elem.empty:
         name, elem = "total-ignorance", model.total_ignorance()
     if elem.empty:
@@ -72,7 +53,7 @@ def fallback_chain(model, out, source, mass, elements, diag=None):
 
 def redistribute(model, out, units, diag=None):
     """Add each unit's mass to ``out`` by its first non-empty weighting, else by fallback."""
-    for source, mass, weightings, elements in units:
+    for source, mass, weightings, mask in units:
         for stage, weighted in weightings:
             if weighted:
                 proportional(out, source, mass, weighted, diag)
@@ -80,5 +61,5 @@ def redistribute(model, out, units, diag=None):
                     diag.fallback(source, stage, None, mass)
                 break
         else:
-            fallback_chain(model, out, source, mass, elements, diag)
+            fallback_chain(model, out, source, mass, mask, diag)
     return out

@@ -23,7 +23,9 @@ mass maps with :func:`ordered`, so only this module knows how elements are
 keyed, named and ordered.  The expression parser builds clause tuples
 directly, with no parse tree: each label is a one-clause tuple, combined
 by the :mod:`kernels` as it is read.  :meth:`Model.reduce` and the prime
-forms work on clause tuples through the kernels too.
+forms work on clause tuples through the kernels too.  The disjunctive form
+a degenerate conflict falls back to is built here alone, from a label mask,
+by :meth:`Model.disjunctive`.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class CanonicalElement:
         return self.clauses == (0,)
 
     def labels_mask(self):
-        """Union of all labels occurring in the element (its disjunctive form)."""
+        """Union of all labels occurring in the element, whose disjunctive form :meth:`Model.disjunctive` builds."""
         m = 0
         for c in self.clauses:
             m |= c
@@ -251,17 +253,6 @@ def _tokenize(text):
             tokens.append(("label", text[i:j], i))
             i = j
     return tokens
-
-
-def disjunctive_form(expr, frame):
-    """The union of all singletons occurring in an element (or its text).
-
-    Rewrites both connectives of the element's canonical form to union, so
-    the result is always a single clause collecting every label it holds.
-    """
-    if isinstance(expr, str):
-        expr = parse_expr(expr, frame)
-    return frame.element((expr.labels_mask(),))
 
 
 # --- models ---------------------------------------------------------------
@@ -391,6 +382,17 @@ class Model:
         out = self._reduce_clauses(key)
         self._reduce_cache[key] = out
         return out
+
+    def disjunctive(self, mask):
+        """The disjunctive form of a label mask under this model: one clause of its labels, reduced.
+
+        A degenerate conflict falls back to the disjunctive form of its
+        labels (``element.labels_mask()``); mask 0 gives ∅.  Every region
+        the model leaves alive has its subsets alive too, so the form keeps
+        exactly the labels whose singleton is alive, and is empty when none
+        is.
+        """
+        return self.reduce(self.frame.element((mask,)))
 
     def keying(self):
         """How the product passes key, intersect, unite and test elements: ``(key, meet, join, top, live)``.

@@ -7,14 +7,15 @@ integrity constraints, and the weighted-operator family (including both
 flavors of weighted averaging) reallocates it by per-element coefficients.
 
 Yager and the hybrid DSm rule give :func:`_transfer.redistribute` units
-``(source, mass, [], elements)`` with no weightings, so each goes straight
-down the fallback chain: Yager's total conflict names no elements and
-starts at the total ignorance.  The hybrid rule reads no product terms:
-each partial conflict of the consensus is one unit naming itself, less
-the products whose factors are all empty.  One :func:`bba._fold` over the
-sources' empty focal elements finds those, and each (partial conflict,
-union of the factors' labels) pair becomes one unit naming that union;
-the model names each such product once (:meth:`Model.name`).
+``(source, mass, [], mask)`` with no weightings, so each goes straight
+down the fallback chain from the disjunctive form of its label mask:
+Yager's total conflict has mask 0 and starts at the total ignorance.  The
+hybrid rule reads no product terms: each partial conflict of the
+consensus is one unit with its own labels, less the products whose
+factors are all empty.  One :func:`bba._fold` over the sources' empty
+focal elements finds those, and each (partial conflict, union of the
+factors' labels) pair becomes one unit with that union as its mask; the
+model names each such product once (:meth:`Model.name`).
 Dubois-Prade folds through :func:`bba._fold` too, on the keys the model
 leaves alive (:meth:`Model.keying`), so no product is reduced under the
 model or passed to a clause kernel.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._transfer import add, redistribute
-from .bba import Bba, _concat, accumulate, to_fraction
+from .bba import Bba, _concat
 from .errors import NotNormalizedError, TotalConflictError
 from .kernels import union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
@@ -61,7 +62,7 @@ def yager(matrix, model=None, diag=None) -> Bba:
     """Yager's rule: the whole conflict reinforces the total ignorance."""
     model = model or matrix.model
     nonempty, _, k = conjunctive(matrix, model).reduced()
-    units = [("total-conflict", k, [], [])] if k else []
+    units = [("total-conflict", k, [], 0)] if k else []
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
@@ -133,8 +134,8 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     rest, units = dict(conflicts), []
     for conflict, mask, mass in _all_empty_products(matrix, model) if k else ():
         rest[conflict] -= mass
-        units.append((conflict, mass, [], [model.frame.element((mask,))]))
-    units += [(conflict, mass, [], [conflict]) for conflict, mass in rest.items() if mass]
+        units.append((conflict, mass, [], mask))
+    units += [(conflict, mass, [], conflict.labels_mask()) for conflict, mass in rest.items() if mass]
     out = redistribute(model, dict(nonempty), units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")
@@ -145,13 +146,12 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
     """The general weighted operator: m(X) = m12(X) + w(X) * k.
 
     ``weights`` maps elements (the classical empty set included) to
-    coefficients in [0, 1] summing to one.
+    coefficients in [0, 1] summing to one.  They are read as the masses of
+    a :class:`Bba`, so a key or coefficient that a ``Bba`` rejects is
+    rejected here too.
     """
     model = model or matrix.model
-    wnorm = {}
-    for key, value in weights.items():
-        elem = model.canonical(key) if isinstance(key, str) else model.reduce(key)
-        accumulate(wnorm, elem, to_fraction(value))
+    wnorm = Bba(model, weights).fractions()
     total = sum(wnorm.values(), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
         raise NotNormalizedError(float(total))

@@ -10,17 +10,16 @@ conflict over the unions of subsets of its components; version b over every
 non-empty power-set element under its disjunctive form.
 
 Each partial conflict is one :func:`_transfer.redistribute` unit
-``(conflict, mass, weightings, [conflict])`` with two weightings, the
-destinations' masses, then the components' column sums (a
+``(conflict, mass, weightings, conflict.labels_mask())`` with two
+weightings, the destinations' masses, then the components' column sums (a
 ``"column-sums"`` fallback); when both are empty the fallback chain starts
-at the conflict's disjunctive form, then the total ignorance.
+at the conflict's disjunctive form, then the total ignorance.  Version a
+builds its unions as label masks, at most 2^n distinct ones, and reduces
+each once (:meth:`Model.disjunctive`).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from ._transfer import u_of
 from .bba import Bba
 from .rules_pcr import _partial_conflicts
 
@@ -29,14 +28,17 @@ VERSION_B = "b"
 
 
 def _destinations_a(model, conflict, components, nonempty):
-    """The unions of every non-empty subset of the components, under the model."""
-    return sorted({u_of(model, combo) for r in range(1, len(components) + 1)
-                   for combo in itertools.combinations(components, r)})
+    """The disjunctive forms of the unions of every non-empty subset of the components."""
+    unions = set()
+    for e in components:
+        mask = e.labels_mask()
+        unions |= {u | mask for u in unions} | {mask}
+    return sorted({model.disjunctive(u) for u in unions})
 
 
 def _destinations_b(model, conflict, components, nonempty):
     """The non-empty single-clause elements within the conflict's disjunctive form."""
-    u_mask = u_of(model, [conflict]).labels_mask()
+    u_mask = model.disjunctive(conflict.labels_mask()).labels_mask()
     return [e for e in nonempty if len(e.clauses) == 1 and e.clauses[0] & ~u_mask == 0]
 
 
@@ -52,11 +54,9 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
         raise ValueError(f"unknown minC version {version!r}")
     destinations = _destinations_a if version == VERSION_A else _destinations_b
 
-    def unit(model, conflict, comps, nonempty, columns):
+    def unit(model, conflict, comps, by_columns, nonempty):
         dests = destinations(model, conflict, comps, nonempty)
-        return ([(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)]),
-                 ("column-sums", [(c, columns[c]) for c in sorted(comps)
-                                  if not c.empty and columns.get(c)])],
-                [conflict])
+        return [(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)]),
+                ("column-sums", sorted(by_columns))]
 
     return _partial_conflicts(matrix, model or matrix.model, diag, unit)

@@ -9,11 +9,12 @@ the masses composing it (PCR5: the consensus's non-empty masses plus the
 conflicting terms of the matrix's conflict ledger, the only rule that walks
 the product terms).
 Each rule only lists its conflict units for :func:`_transfer.redistribute`:
-``(source, mass, weightings, elements)``, where ``weightings`` holds the
+``(source, mass, weightings, mask)``, where ``weightings`` holds the
 rule's proportional weights (and, for PCR4, column sums as a named second
-weighting) and ``elements`` the conflict's columns or components, whose
-disjunctive form heads the fallback chain taken when every weighting is
-empty (then the total ignorance, then θ0 or ∅).
+weighting) and ``mask`` the labels of the conflict, or of the columns or
+factors it is spread over, whose disjunctive form
+(:meth:`Model.disjunctive`) heads the fallback chain taken when every
+weighting is empty (then the total ignorance, then θ0 or ∅).
 
 Arithmetic is exact rational throughout, which makes the results
 independent of source order and lets the convergence behaviour of PCR5 be
@@ -23,8 +24,10 @@ checked symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from ._transfer import components, redistribute
+from ._transfer import redistribute
 from .bba import Bba, MassMatrix, conflict_ledger, involved, walk_terms
 from .rules_core import _finish, conjunctive
 
@@ -34,7 +37,7 @@ def _total_conflict(matrix, model, diag, involved_only):
 
     PCR1 weights every column, PCR2 only the columns involved in the
     conflict; when none of them is non-empty with mass, ``k`` goes down the
-    fallback chain from their disjunctive form.
+    fallback chain from the disjunctive form of their labels.
     """
     nonempty, _, k = conjunctive(matrix, model).reduced()
     units = []
@@ -43,7 +46,7 @@ def _total_conflict(matrix, model, diag, involved_only):
         spread = sorted(involved(model, matrix.fractions())) if involved_only else list(sums)
         cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
         weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
-        units.append(("total-conflict", k, [(None, weighted)], spread))
+        units.append(("total-conflict", k, [(None, weighted)], reduce(or_, (e.labels_mask() for e in spread), 0)))
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
@@ -70,20 +73,27 @@ def pcr2(matrix, model=None, diag=None) -> Bba:
 def _partial_conflicts(matrix, model, diag, unit):
     """PCR3, PCR4 and minC: one unit per partial conflict.
 
-    ``unit(model, conflict, components, nonempty, columns)`` gives the
-    conflict's weightings and fallback elements from its distinct
-    components, the consensus's non-empty masses and the column sums.
+    A conflict's components are the disjunctive forms of its clauses, each
+    kept once: under dynamic constraints two clauses can collapse to one
+    element, and counting it twice would skew the proportional split.
+    ``unit(model, conflict, components, by_columns, nonempty)`` gives the
+    conflict's weightings from its components, their column-sum weighting
+    and the consensus's non-empty masses.  The fallback chain starts at the
+    conflict's labels, whose disjunctive form is that of its components.
     """
     nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
     columns = matrix.column_sums(model)
-    units = [(conflict, mass, *unit(model, conflict, components(model, conflict), nonempty, columns))
-             for conflict, mass in conflicts.items()]
+    units = []
+    for conflict, mass in conflicts.items():
+        comps = list(dict.fromkeys(model.disjunctive(c) for c in conflict.clauses))
+        by_columns = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)]
+        units.append((conflict, mass, unit(model, conflict, comps, by_columns, nonempty), conflict.labels_mask()))
     return _finish(model, redistribute(model, dict(nonempty), units, diag))
 
 
-def _pcr3_unit(model, conflict, comps, nonempty, columns):
-    """The components' column sums, then the fallback chain from the components."""
-    return [(None, [(e, columns[e]) for e in comps if not e.empty and columns.get(e)])], comps
+def _pcr3_unit(model, conflict, comps, by_columns, nonempty):
+    """The components' column sums."""
+    return [(None, by_columns)]
 
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
@@ -91,12 +101,13 @@ def pcr3(matrix, model=None, diag=None) -> Bba:
     return _partial_conflicts(matrix, model or matrix.model, diag, _pcr3_unit)
 
 
-def _pcr4_unit(model, conflict, comps, nonempty, columns):
-    """Conjunctive masses when every component has one, else column sums, then the fallback chain."""
-    live = [e for e in comps if not e.empty]
-    masses = len(live) == len(comps) and all(nonempty.get(e) for e in live)
-    return [(None, [(e, nonempty[e]) for e in live] if masses else []),
-            ("column-sums", [(e, columns[e]) for e in live if columns.get(e)])], comps
+def _pcr4_unit(model, conflict, comps, by_columns, nonempty):
+    """Conjunctive masses when every component has one, else column sums.
+
+    An empty component never has a conjunctive mass.
+    """
+    masses = all(nonempty.get(e) for e in comps)
+    return [(None, [(e, nonempty[e]) for e in comps] if masses else []), ("column-sums", by_columns)]
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:
@@ -128,7 +139,7 @@ def _term_unit(model, term):
     zset = set(term.intersection.clauses)
     dests = [(elem, weight) for elem, weight in groups.items()
              if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
-    return term.factors, term.product, [(None, dests)], list(groups)
+    return term.factors, term.product, [(None, dests)], reduce(or_, (e.labels_mask() for e in groups), 0)
 
 
 def _pcr5(matrix, model, terms, diag):

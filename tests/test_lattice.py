@@ -13,7 +13,6 @@ from massfusion import (
     Model,
     SHAFER,
     UnknownLabelError,
-    disjunctive_form,
     parse_expr,
     shafer_as_hybrid,
 )
@@ -176,25 +175,35 @@ def test_shafer_model_equals_its_hybrid_spelling(frame_abc):
 # --- disjunctive form -------------------------------------------------------
 
 
+def _disjunctive(model, text):
+    return model.disjunctive(parse_expr(text, model.frame).labels_mask())
+
+
 def test_disjunctive_form_of_singleton(frame_ab):
-    assert str(disjunctive_form("A", frame_ab)) == "A"
+    assert str(_disjunctive(Model(frame_ab, FREE), "A")) == "A"
 
 
 def test_disjunctive_form_rewrites_intersection_to_union(frame_ab):
-    assert str(disjunctive_form("A&B", frame_ab)) == "A|B"
+    assert str(_disjunctive(Model(frame_ab, FREE), "A&B")) == "A|B"
 
 
-def test_disjunctive_form_collects_all_labels(frame_abc):
-    assert str(disjunctive_form("(A&B)|C", frame_abc)) == "A|B|C"
+def test_disjunctive_form_collects_all_labels(free_abc):
+    assert str(_disjunctive(free_abc, "(A&B)|C")) == "A|B|C"
     # the form is the element's: labels the canonical form absorbs are not collected
-    assert disjunctive_form("A|(A&B)", frame_abc) == disjunctive_form(parse_expr("A", frame_abc), frame_abc)
+    assert _disjunctive(free_abc, "A|(A&B)") == _disjunctive(free_abc, "A")
 
 
 def test_disjunctive_form_never_empty_with_live_singleton(frame_abc):
     model = Model(frame_abc, HYBRID, ["A&B", "A&C", "B&C"])
     for text in ["A&B", "A&(B|C)", "(A|B)&C"]:
-        u = disjunctive_form(text, frame_abc)
-        assert not model.reduce(u).empty
+        assert not _disjunctive(model, text).empty
+
+
+def test_disjunctive_form_keeps_the_live_labels(frame_abc):
+    model = Model(frame_abc, HYBRID, ["A"])
+    assert str(_disjunctive(model, "A&B")) == "B"
+    assert _disjunctive(model, "A").empty
+    assert model.disjunctive(0) == frame_abc.empty_element() and model.disjunctive(0).empty
 
 
 # --- region-semantics oracle ------------------------------------------------

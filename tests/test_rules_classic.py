@@ -2,12 +2,14 @@ import pytest
 
 from massfusion import (
     Bba,
+    BeliefFusionError,
     Diagnostics,
     FREE,
     Frame,
     HYBRID,
     MassMatrix,
     Model,
+    NegativeMassError,
     SHAFER,
     TotalConflictError,
     conjunctive,
@@ -187,6 +189,18 @@ def test_average_weights_reproduce_static_wao(shafer_ab):
     m = matrix(shafer_ab, {"A": 0.3, "B": 0.4, "A|B": 0.3}, {"A": 0.5, "B": 0.1, "A|B": 0.4})
     weights = {"A": 0.40, "B": 0.25, "A|B": 0.35}
     assert weighted_operator(m, weights).masses == wao(m).masses
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ({1: 1.0}, TypeError, "bad mass key 1"),
+    ({"A": True, "B": 0}, BeliefFusionError, "mass True on A is not a number"),
+    ({"A": "1"}, BeliefFusionError, "mass '1' on A is not a number"),
+    ({"A": float("nan"), "B": 1.0}, BeliefFusionError, "mass nan on A is not finite"),
+    ({"A": -0.5, "B": 1.5}, NegativeMassError, "negative mass -0.5 on A"),
+], ids=["int-key", "bool", "string", "nan", "negative"])
+def test_weights_are_checked_like_masses(shafer_ab, weights, error, message):
+    with pytest.raises(error, match=message):
+        weighted_operator(matrix(shafer_ab, *EX2), weights)
 
 
 def test_wao_pair(shafer_ab):

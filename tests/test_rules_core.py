@@ -2,6 +2,8 @@ import contextlib
 import gc
 import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from unittest.mock import patch
 
 import pytest
@@ -700,6 +702,29 @@ def test_involved_from_keys_equals_the_flat_product_reference(case):
     assert bba.involved(model, m.fractions()) == conflict_ledger_reference(m, model)[3]
 
 
+@given(MODEL_SIDE_CASES)
+@settings(max_examples=200, deadline=None)
+def test_a_conflicts_disjunctive_form_is_that_of_its_components(case):
+    """PCR3, PCR4 and minC start a conflict's fallback chain at its own labels, not its components'.
+
+    The regions a model leaves alive are closed under subsets, so reducing
+    one clause keeps exactly its labels whose singleton is alive: each
+    component is that single clause, or the clause flagged empty when no
+    label is alive.  So both give one disjunctive form.
+    """
+    m, model = case
+    frame = model.frame
+    alive = sum(1 << i for i, label in enumerate(frame.labels) if not model.reduce(frame.singleton(label)).empty)
+    for conflict in conjunctive(m, model).reduced()[1]:
+        for c in conflict.clauses:
+            comp = model.disjunctive(c)
+            assert (comp.clauses, comp.empty) == (((c & alive,), False) if c & alive else ((c,), True))
+        comps = dict.fromkeys(model.disjunctive(c) for c in conflict.clauses)
+        own = model.disjunctive(conflict.labels_mask())
+        joined = model.disjunctive(reduce(or_, (e.labels_mask() for e in comps)))
+        assert (own.clauses, own.empty) == (joined.clauses, joined.empty)
+
+
 def dsm_hybrid_per_term(m, model, diag):
     """Hybrid DSm as one fallback unit per conflicting product term of the flat product.
 
@@ -711,7 +736,7 @@ def dsm_hybrid_per_term(m, model, diag):
         elements = [e for e, _ in factors]
         if not all(model.reduce(e).empty for e in elements):
             elements = [intersection]
-        units.append((intersection, product, [], elements))
+        units.append((intersection, product, [], reduce(or_, (e.labels_mask() for e in elements))))
     nonempty = reduced_reference(m, model)[0]
     return _finish(model, redistribute(model, dict(nonempty), units, diag), exact=True)
 

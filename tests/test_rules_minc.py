@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from massfusion import (
     Diagnostics,
     Frame,
+    HYBRID,
     MassMatrix,
     Model,
     SHAFER,
@@ -175,3 +178,34 @@ def test_source_order_is_irrelevant(rng):
         for version in ("a", "b"):
             assert (minc(MassMatrix(sources), version).masses
                     == minc(MassMatrix(sources[::-1]), version).masses)
+
+
+# five sources on a 6-label hybrid frame where every 4-label intersection is
+# empty: 14 partial conflicts of 8 to 15 components each
+WIDE_FOCALS = (
+    "(A|B)&(A|C)&(B|C)&(A|E)&(E|F)",
+    "(A|D)&(C|D)&(A|B|E)&(A|F)&(C|F)&(D|F)",
+    "(A|D)&(B|D)&(C|D)&(B|C|F)",
+    "(A|B)&(B|E)&(C|E)&(D|E)&(B|F)&(D|F)",
+    "(B|D)&(C|D)&(A|E)&(B|E)&(A|B|F)&(A|C|F)",
+)
+
+
+def test_version_a_reduces_each_union_of_components_once(monkeypatch):
+    """Unions of components are label masks, at most 2^6 distinct ones per conflict, each reduced once."""
+    frame = Frame(list("ABCDEF"))
+    model = Model(frame, HYBRID, ["&".join(c) for c in itertools.combinations(frame.labels, 4)])
+    m = matrix(model, *({f: 0.5, "A|B|C|D|E|F": 0.5} for f in WIDE_FOCALS))
+    _, conflicts, _ = conjunctive(m).reduced()
+    assert len(conflicts) == 14
+    assert {len(c.clauses) for c in conflicts} == set(range(8, 16))
+    calls = []
+    reduce = Model.reduce
+    monkeypatch.setattr(Model, "reduce", lambda self, e: calls.append(e) or reduce(self, e))
+    got = minc(m, "a")
+    assert len(calls) < 1500  # reducing the union of every subset of components separately: 79,782
+    want = {name: 0.03125 for name in WIDE_FOCALS + (
+        "A&C&F", "B&C&E", "B&D&(C|E)", "D&(A|B|E)&(A|F)&(C|F)",
+        "(A|D)&(B|D)&(C|D)&(A|E)&(B|E)&(A|F)&(B|F)")}
+    want.update({"D&E&F": 0.0625, "A|B|C|D|E|F": 0.625})
+    assert got.masses == {model.canonical(name): v for name, v in want.items()}
