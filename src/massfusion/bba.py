@@ -30,7 +30,7 @@ conflicting terms, through :meth:`Model.name`, once per key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -382,13 +382,15 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     return raw
 
 
-@dataclass(frozen=True)
-class ConflictTerm:
-    """One product of focal elements with an empty combined intersection."""
+class ConflictTerm(namedtuple("ConflictTerm", "factors product intersection")):
+    """One product of focal elements with an empty combined intersection.
 
-    factors: tuple  # one (element, mass fraction) per source
-    product: Fraction
-    intersection: CanonicalElement  # free canonical form, flagged empty by the model
+    ``factors`` holds one (element, mass fraction) per source, ``product``
+    their product, and ``intersection`` the free canonical form of their
+    intersection, flagged empty by the model.
+    """
+
+    __slots__ = ()
 
 
 def walk_terms(model, focal_lists):
@@ -449,11 +451,10 @@ def involved(model, focal_lists):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ConflictLedger:
+class ConflictLedger(namedtuple("ConflictLedger", "terms")):
     """PCR5's conflicting product terms; the partial conflicts and ``k`` are the consensus's."""
 
-    terms: tuple
+    __slots__ = ()
 
 
 def conflict_ledger(matrix, model=None):

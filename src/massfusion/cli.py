@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .bba import Bba, MassMatrix, validate_bba
 from .diagnostics import Diagnostics
@@ -43,35 +43,38 @@ COINCIDE_TOL = 1e-9
 MAX_PRECISION = 100
 
 
-@dataclass
-class Scenario:
-    frame: Frame
-    model: Model
-    fusion_model: Model
-    sources: list
-    stream: list
-    rules: list
-    options: RuleOptions
-    path: str = "<scenario>"
+class Scenario(namedtuple("Scenario", "frame model fusion_model sources stream rules options path",
+                          defaults=("<scenario>",))):
+    """A loaded scenario: its models, validated sources and stream, rules and options."""
+
+    __slots__ = ()
 
 
-@dataclass
 class RuleRun:
-    name: str
-    bba: Bba | None = None
-    error: str | None = None
-    diag: Diagnostics = field(default_factory=Diagnostics)
-    seconds: float = 0.0
+    """One rule's run: its result or error, its diagnostics and its time."""
+
+    __slots__ = ("name", "bba", "error", "diag", "seconds")
+
+    def __init__(self, name):
+        self.name = name
+        self.bba = None
+        self.error = None
+        self.diag = Diagnostics()
+        self.seconds = 0.0
 
 
-@dataclass
 class Report:
-    scenario: Scenario
-    runs: list
-    k: float | None = None
-    steps: list | None = None  # sequential mode: per-step rule runs
-    comparisons: dict | None = None
-    coincident: list | None = None
+    """The runs of a scenario, with the runs after each sequential step or the pairwise comparisons."""
+
+    __slots__ = ("scenario", "runs", "k", "steps", "comparisons", "coincident")
+
+    def __init__(self, scenario, runs, k=None, steps=None):
+        self.scenario = scenario
+        self.runs = runs
+        self.k = k
+        self.steps = steps
+        self.comparisons = None
+        self.coincident = None
 
     def failed(self):
         return [r for r in self.runs if r.error]
@@ -248,7 +251,7 @@ def sequential_fusion(scenario) -> Report:
     if scenario.fusion_model != scenario.model:
         raise ScenarioError(f"{scenario.path}: sequential mode does not support 'dynamic_empty'")
     runs = run_scenario(scenario).runs
-    step = replace(scenario, options=replace(scenario.options, order=None))
+    step = scenario._replace(options=scenario.options._replace(order=None))
     steps = []
     for obs in scenario.stream:
         runs = [run if run.error else _execute(run.name, MassMatrix([run.bba, obs]), step)
@@ -259,7 +262,7 @@ def sequential_fusion(scenario) -> Report:
 
 def compare_rules(scenario) -> Report:
     """Run every rule and flag the pairs that coincide."""
-    report = run_scenario(replace(scenario, rules=list(RULE_ORDER)))
+    report = run_scenario(scenario._replace(rules=list(RULE_ORDER)))
     ok = [r for r in report.runs if not r.error]
     diffs = {}
     coincident = []
@@ -386,7 +389,29 @@ def _render_machine(report, precision, timing):
     if report.comparisons is not None:
         doc["comparisons"] = {f"{a}|{b}": d for (a, b), d in sorted(report.comparisons.items())}
         doc["coincident"] = [list(p) for p in report.coincident]
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    return _dump(doc, "\n")
+
+
+def _dump(obj, pad):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``.
+
+    ``obj`` holds dicts with str keys, lists and scalars; ``pad`` is the
+    newline and indent of the line it starts on.  With ``indent`` the json
+    module takes its pure-Python encoder, so a container holding no
+    containers goes to the C encoder in one call, its item separator
+    carrying the newline and indent; only nested containers are walked.
+    """
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj, ensure_ascii=False)
+    inner = pad + "  "
+    if not any(isinstance(v, (dict, list)) for v in (obj.values() if isinstance(obj, dict) else obj)):
+        text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=("," + inner, ": "))
+    elif isinstance(obj, dict):
+        text = "{" + ("," + inner).join(
+            f"{json.dumps(k, ensure_ascii=False)}: {_dump(obj[k], inner)}" for k in sorted(obj)) + "}"
+    else:
+        text = "[" + ("," + inner).join(_dump(v, inner) for v in obj) + "]"
+    return text[0] + inner + text[1:-1] + pad + text[-1]
 
 
 def _order(text):

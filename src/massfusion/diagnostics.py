@@ -2,31 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class RedistributionRecord:
-    """One proportional transfer out of a partial conflict or product term."""
+class RedistributionRecord(namedtuple("RedistributionRecord", "source destination amount constant",
+                                      defaults=(None,))):
+    """One proportional transfer out of a partial conflict or product term.
 
-    source: object  # the conflicting element, or a term's factor tuple
-    destination: object
-    amount: Fraction
-    constant: Fraction | None = None  # normalization constant of the split
+    ``source`` is the conflicting element, or a term's factor tuple;
+    ``constant`` is the normalization constant of the split.
+    """
 
-
-@dataclass(frozen=True)
-class FallbackEvent:
-    """A transfer that had to walk the degenerate-case chain."""
-
-    source: object
-    stage: str  # column-sums | disjunctive-form | total-ignorance | theta0 | empty-set
-    destination: object
-    amount: Fraction
+    __slots__ = ()
 
 
-@dataclass
+class FallbackEvent(namedtuple("FallbackEvent", "source stage destination amount")):
+    """A transfer that had to walk the degenerate-case chain.
+
+    ``stage`` is one of column-sums, disjunctive-form, total-ignorance,
+    theta0 and empty-set.
+    """
+
+    __slots__ = ()
+
+
 class Diagnostics:
     """Mutable collector handed to a rule invocation.
 
@@ -37,15 +36,20 @@ class Diagnostics:
     order-dependent rule actually used.
     """
 
-    records: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)
-    sum_deficit: float | None = None
-    order: tuple | None = None
-    notes: list = field(default_factory=list)
+    __slots__ = ("records", "fallbacks", "sum_deficit", "order", "notes")
+
+    def __init__(self):
+        self.records = []
+        self.fallbacks = []
+        self.sum_deficit = None
+        self.order = None
+        self.notes = []
+
+    def __eq__(self, other):
+        return type(other) is Diagnostics and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def record(self, source, destination, amount, constant=None):
         self.records.append(RedistributionRecord(source, destination, amount, constant))
 
     def fallback(self, source, stage, destination, amount):
         self.fallbacks.append(FallbackEvent(source, stage, destination, amount))
-

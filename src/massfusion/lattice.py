@@ -171,8 +171,8 @@ class CanonicalElement:
 
 
 def ordered(masses):
-    """``masses`` with its elements in sorted order: the order every mass map keeps."""
-    return {k: masses[k] for k in sorted(masses)}
+    """``masses`` with its elements in sorted order (by clause tuple): the order every mass map keeps."""
+    return {k: masses[k] for k in sorted(masses, key=attrgetter("clauses"))}
 
 
 # --- set expressions -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rules_classic import (
     STATIC,
@@ -18,14 +18,15 @@ from .rules_minc import VERSION_A, minc
 from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi
 
 
-@dataclass(frozen=True)
-class RuleOptions:
-    """Per-run knobs for the rules that have variants."""
+class RuleOptions(namedtuple("RuleOptions", "minc_version wao_mode pcr5_variant order",
+                             defaults=(VERSION_A, STATIC, "exact", None))):
+    """Per-run knobs for the rules that have variants.
 
-    minc_version: str = VERSION_A
-    wao_mode: str = STATIC
-    pcr5_variant: str = "exact"  # "exact" | "approx"
-    order: tuple | None = None
+    ``pcr5_variant`` is ``"exact"`` or ``"approx"``; ``order`` is the
+    source order for the approximate PCR5 variant, or None.
+    """
+
+    __slots__ = ()
 
 
 def _run_conjunctive(matrix, model, opts, diag):

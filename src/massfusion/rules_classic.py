@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from ._transfer import add, redistribute
 from .bba import Bba, _concat
-from .errors import NotNormalizedError, TotalConflictError
+from .errors import MassOnEmptyError, NotNormalizedError, TotalConflictError
 from .kernels import union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
 from .rules_pcr import pcr1
@@ -148,10 +148,14 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
     ``weights`` maps elements (the classical empty set included) to
     coefficients in [0, 1] summing to one.  They are read as the masses of
     a :class:`Bba`, so a key or coefficient that a ``Bba`` rejects is
-    rejected here too.
+    rejected here too, and a weight on an element the model empties, other
+    than the classical empty set, raises ``MassOnEmptyError``.
     """
     model = model or matrix.model
     wnorm = Bba(model, weights).fractions()
+    for elem, w in wnorm.items():
+        if w and not elem.is_classical_empty and model.reduce(elem).empty:
+            raise MassOnEmptyError(elem)
     total = sum(wnorm.values(), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
         raise NotNormalizedError(float(total))

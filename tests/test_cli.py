@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from massfusion import RULE_ORDER, MassMatrix
-from massfusion.cli import compare_rules, load_scenario, main, sequential_fusion
+from massfusion.cli import RuleRun, _dump, compare_rules, load_scenario, main, sequential_fusion
 
 ZADEH = {
     "frame": ["A", "B", "C"],
@@ -323,6 +323,31 @@ def test_table_keeps_the_deficit_line_when_no_focal_element_is_left(tmp_path, ca
     assert code == 0
     assert "! wao: sum below one by 1.000000" in out
     assert "(no results)" not in out
+
+
+def test_rule_runs_share_no_collector():
+    a, b = RuleRun("pcr5"), RuleRun("pcr5")
+    assert a.diag is not b.diag
+    a.diag.record("X", "A", 1)
+    assert b.diag.records == []
+
+
+JSON_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["∅", "θ0", 'a "quoted" A|B', "two\nlines", ""]))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_TEXT,
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]))
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(JSON_DOCUMENTS)
+@example({})
+@example({"rules": {"pcr5": {"masses": {"A": 0.5, "θ0": -0.0}, "order": [2, 1]}}, "coincident": []})
+@settings(max_examples=300, deadline=None)
+def test_machine_writer_matches_the_indenting_json_encoder(doc):
+    assert _dump(doc, "\n") == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def test_precision_flag(tmp_path, capsys):

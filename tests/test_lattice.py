@@ -16,6 +16,8 @@ from massfusion import (
     parse_expr,
     shafer_as_hybrid,
 )
+from massfusion.kernels import absorb_masks
+from massfusion.lattice import ordered
 from conftest import intersection_of, union_of
 from oracles import RegionOracle, prime_clauses_of_regions
 
@@ -317,3 +319,15 @@ def test_hybrid_reduce_matches_region_oracle(case):
     assert reduced.empty == (not regions)
     if regions:
         assert reduced.clauses == prime_clauses_of_regions(regions, len(labels))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ordered_keeps_the_element_order(data):
+    n = data.draw(st.integers(1, 5))
+    frame = Frame([f"h{i}" for i in range(n)])
+    clauses = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4).map(absorb_masks)
+    keys = data.draw(st.lists(st.one_of(st.just(()), st.just((0,)), clauses), max_size=40))  # θ0 and ∅
+    masses = {frame.element(c): i for i, c in enumerate(keys)}
+    assert list(ordered(masses)) == sorted(masses)
+    assert ordered(masses) == masses

@@ -8,6 +8,7 @@ from massfusion import (
     Frame,
     HYBRID,
     MassMatrix,
+    MassOnEmptyError,
     Model,
     NegativeMassError,
     SHAFER,
@@ -197,7 +198,8 @@ def test_average_weights_reproduce_static_wao(shafer_ab):
     ({"A": "1"}, BeliefFusionError, "mass '1' on A is not a number"),
     ({"A": float("nan"), "B": 1.0}, BeliefFusionError, "mass nan on A is not finite"),
     ({"A": -0.5, "B": 1.5}, NegativeMassError, "negative mass -0.5 on A"),
-], ids=["int-key", "bool", "string", "nan", "negative"])
+    ({"A&B": 1.0}, MassOnEmptyError, "mass on empty element A&B"),
+], ids=["int-key", "bool", "string", "nan", "negative", "emptied"])
 def test_weights_are_checked_like_masses(shafer_ab, weights, error, message):
     with pytest.raises(error, match=message):
         weighted_operator(matrix(shafer_ab, *EX2), weights)

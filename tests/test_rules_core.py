@@ -499,6 +499,56 @@ def test_an_unknown_rule_variant_is_refused(name, field, value):
         run_rule(name, hybrid_triple(), options=RuleOptions(**{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("minc_version", "b"), ("wao_mode", "dynamic"), ("pcr5_variant", "approx"), ("order", (2, 1))])
+def test_rule_options_take_each_field_by_name(field, value):
+    opts = RuleOptions(**{field: value})
+    assert getattr(opts, field) == value and opts != RuleOptions()
+    assert opts._replace(**{field: getattr(RuleOptions(), field)}) == RuleOptions()
+    assert RuleOptions(order=(2, 1))._replace(order=None) == RuleOptions()
+
+
+def test_collectors_share_no_lists():
+    a, b = Diagnostics(), Diagnostics()
+    a.record("X", "A", Fraction(1, 2))
+    a.fallback("X", "theta0", None, Fraction(1, 2))
+    a.notes.append("note")
+    assert b.records == b.fallbacks == b.notes == []
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.record("X", "A", Fraction(1)),
+    lambda d: d.fallback("X", "empty-set", None, Fraction(1)),
+    lambda d: setattr(d, "sum_deficit", 0.25),
+    lambda d: setattr(d, "order", (2, 1)),
+    lambda d: d.notes.append("note"),
+], ids=["records", "fallbacks", "sum_deficit", "order", "notes"])
+def test_collectors_compare_on_every_field(change):
+    diag = Diagnostics()
+    assert diag == Diagnostics()
+    change(diag)
+    assert diag != Diagnostics()
+
+
+def test_terms_and_records_read_their_fields_by_name():
+    m = hybrid_triple()
+    term = conflict_ledger(m).terms[0]
+    assert (term.factors, term.product, term.intersection) == tuple(term)
+    assert term.product == reduce(lambda p, f: p * f[1], term.factors, Fraction(1))
+    assert m.model.reduce(term.intersection).empty
+    diag = Diagnostics()
+    run_rule("pcr5", m, diag=diag)
+    assert diag.records and sum(r.amount for r in diag.records) == conjunctive(m).reduced()[2]
+    record = diag.records[0]
+    assert (record.source, record.destination, record.amount, record.constant) == tuple(record)
+    assert record.source == term.factors  # PCR5 names a transfer by its term's factors
+    events = Diagnostics()
+    events.record("X", "A", Fraction(1))
+    events.fallback("X", "theta0", None, Fraction(1))
+    assert events.records[0].constant is None
+    assert (events.fallbacks[0].stage, events.fallbacks[0].amount) == ("theta0", Fraction(1))
+
+
 def test_rules_leave_no_reference_cycles():
     m = hybrid_triple()  # built first: the expression parser's closures form cycles
     gc.collect()
