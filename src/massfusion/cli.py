@@ -13,7 +13,12 @@ A scenario is one JSON document::
 
 ``stream`` feeds sequential fusion; ``dynamic_empty`` adds constraints that
 arrived after the sources committed their masses (the sources stay valid
-against the base model, the fusion runs under the constrained one).
+against the base model, the fusion runs under the constrained one).  The
+rule variants under ``options`` (also the flags ``--minc-version``,
+``--wao-mode`` and ``--pcr5``) and the values they allow come from
+:data:`registry.VARIANTS`; an absent one keeps its :class:`RuleOptions`
+default.  The frame, the model and each source or stream entry are checked
+by the classes that build them, and an error names the field it came from.
 
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
@@ -31,10 +36,8 @@ from .diagnostics import Diagnostics
 from .errors import (
     BeliefFusionError, CapacityError, ExprSyntaxError, ScenarioError, TotalConflictError, UnknownLabelError,
 )
-from .lattice import (
-    CLOSED, FREE, HYBRID, MAX_HYPER_LABELS, SHAFER, Frame, Model, parse_expr, shafer_as_hybrid,
-)
-from .registry import RULE_ORDER, RuleOptions, run_rule
+from .lattice import CLOSED, HYBRID, MAX_HYPER_LABELS, SHAFER, Frame, Model, parse_expr, shafer_as_hybrid
+from .registry import RULE_ORDER, VARIANTS, RuleOptions, run_rule
 from .rules_core import conjunctive
 
 COINCIDE_TOL = 1e-9
@@ -118,6 +121,17 @@ def _tables(doc, key, path):
     return tables
 
 
+def _bbas(doc, key, model, where, path):
+    """The mass tables under ``key`` as validated assignments; a bad one is named by ``where`` and its number."""
+    bbas = []
+    for i, table in enumerate(_tables(doc, key, path)):
+        try:
+            bbas.append(validate_bba(Bba(model, table)))
+        except BeliefFusionError as exc:
+            raise ScenarioError(f"{path}: {where} {i + 1}: {exc}") from exc
+    return bbas
+
+
 def _constraints(frame, texts, where, path):
     """Constraint expressions as free elements; a bad one is named by its field and entry."""
     elements = []
@@ -141,16 +155,13 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
         except CapacityError as exc:
             raise ScenarioError(f"{path}: frame: {exc}") from None
         mspec = _object(doc, "model", path)
-        kind = mspec.get("kind", "shafer")
-        if kind not in (FREE, SHAFER, HYBRID):
-            raise ScenarioError(f"{path}: unknown model kind {kind!r}")
         theta0 = mspec.get("theta0", False)
         if not isinstance(theta0, bool):
             raise ScenarioError(f"{path}: 'theta0' must be true or false")
         try:
             model = Model(
                 frame,
-                kind,
+                mspec.get("kind", SHAFER),
                 _constraints(frame, _strings(mspec, "empty", path), "model.empty", path),
                 world=mspec.get("world", CLOSED),
                 theta0=theta0,
@@ -171,21 +182,10 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
                 ) from None
         else:
             fusion_model = model
-        raw_sources = _tables(doc, "sources", path)
-        if not raw_sources:
+        sources = _bbas(doc, "sources", model, "source", path)
+        if not sources:
             raise ScenarioError(f"{path}: no sources")
-        sources = []
-        for i, table in enumerate(raw_sources):
-            try:
-                sources.append(validate_bba(Bba(model, table)))
-            except BeliefFusionError as exc:
-                raise ScenarioError(f"{path}: source {i + 1}: {exc}") from exc
-        stream = []
-        for i, table in enumerate(_tables(doc, "stream", path)):
-            try:
-                stream.append(validate_bba(Bba(model, table)))
-            except BeliefFusionError as exc:
-                raise ScenarioError(f"{path}: stream entry {i + 1}: {exc}") from exc
+        stream = _bbas(doc, "stream", model, "stream entry", path)
         # a rule named twice runs once, where it is first named
         rules = list(dict.fromkeys(overrides.get("rules") or _strings(doc, "rules", path) or RULE_ORDER))
         for r in rules:
@@ -198,18 +198,13 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
         if order is not None and not (isinstance(order, list) and all(type(i) is int for i in order)
                                       and sorted(order) == list(range(1, n + 1))):
             raise ScenarioError(f"{path}: order must be a permutation of 1..{n}")
-        options = RuleOptions(
-            minc_version=ospec.get("minc_version", "a"),
-            wao_mode=ospec.get("wao_mode", "static"),
-            pcr5_variant=ospec.get("pcr5", "exact"),
-            order=tuple(order) if order else None,
-        )
-        if options.minc_version not in ("a", "b"):
-            raise ScenarioError(f"{path}: minc_version must be 'a' or 'b'")
-        if options.wao_mode not in ("static", "dynamic"):
-            raise ScenarioError(f"{path}: wao_mode must be 'static' or 'dynamic'")
-        if options.pcr5_variant not in ("exact", "approx"):
-            raise ScenarioError(f"{path}: pcr5 must be 'exact' or 'approx'")
+        variants = {}
+        for option, (field, allowed) in VARIANTS.items():
+            if option in ospec:
+                if ospec[option] not in allowed:
+                    raise ScenarioError(f"{path}: {option} must be {' or '.join(map(repr, allowed))}")
+                variants[field] = ospec[option]
+        options = RuleOptions(order=tuple(order) if order else None, **variants)
         return Scenario(frame, model, fusion_model, sources, stream, rules, options, path)
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing field {exc}") from None
@@ -442,9 +437,8 @@ def build_parser():
                       help="run every rule and report pairwise differences")
     mode.add_argument("--sequential", action="store_true",
                       help="fold the scenario's stream one observation at a time")
-    p.add_argument("--minc-version", choices=("a", "b"), default=None)
-    p.add_argument("--wao-mode", choices=("static", "dynamic"), default=None)
-    p.add_argument("--pcr5", choices=("exact", "approx"), default=None)
+    for option, (_, allowed) in VARIANTS.items():
+        p.add_argument("--" + option.replace("_", "-"), choices=allowed)
     p.add_argument("--order", type=_order, default=None, metavar="I,J,...",
                    help="source order for the approximate PCR5 variant")
     p.add_argument("--format", choices=("table", "machine"), default="table")
@@ -461,10 +455,8 @@ def main(argv=None):
         parser.error(f"argument --rule: not allowed with argument {other}")
     overrides = {
         "rules": list(RULE_ORDER) if (args.all or args.compare) else args.rules,
-        "minc_version": args.minc_version,
-        "wao_mode": args.wao_mode,
-        "pcr5": args.pcr5,
         "order": args.order,
+        **{option: getattr(args, option) for option in VARIANTS},
     }
     try:
         scenario = load_scenario(args.scenario, overrides)

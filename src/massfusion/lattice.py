@@ -20,16 +20,19 @@ keeps the mask of regions it leaves alive, so the product passes in
 their keys from :meth:`Model.keying` (region sets there, clause tuples on
 larger Shafer frames), name products through :meth:`Model.name` and order
 mass maps with :func:`ordered`, so only this module knows how elements are
-keyed, named and ordered.  The expression parser builds clause tuples
-directly, with no parse tree: each label is a one-clause tuple, combined
-by the :mod:`kernels` as it is read.  :meth:`Model.reduce` and the prime
-forms work on clause tuples through the kernels too.  The disjunctive form
-a degenerate conflict falls back to is built here alone, from a label mask,
-by :meth:`Model.disjunctive`.
+keyed, named and ordered.  One pattern defines a label: :class:`Frame`
+accepts only labels it matches whole, and the expression parser reads its
+tokens with it, so every label parses back.  The parser builds clause
+tuples directly, with no parse tree: each label is a one-clause tuple,
+combined by the :mod:`kernels` as it is read.  :meth:`Model.reduce` and
+the prime forms work on clause tuples through the kernels too.  The
+disjunctive form a degenerate conflict falls back to is built here alone,
+from a label mask, by :meth:`Model.disjunctive`.
 """
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from operator import and_, attrgetter, or_
 
@@ -39,11 +42,22 @@ from .kernels import absorb_masks, intersect_canon, union_canon
 MAX_POWERSET_LABELS = 16
 MAX_HYPER_LABELS = 6
 
-_FORBIDDEN_IN_LABEL = set("|&() \t\r\n")
+# A label is a run of characters that are neither whitespace nor an operator;
+# the parser's tokens are the operators and the runs of this one pattern.
+_LABEL = re.compile(r"[^\s|&()]+")
+_TOKEN = re.compile(r"[|&()]|" + _LABEL.pattern)
+# the names under which θ0 and ∅ print
+_RESERVED = ("∅", "θ0")
 
 
 class Frame:
-    """An ordered frame of discernment: distinct hypothesis labels."""
+    """An ordered frame of discernment: distinct hypothesis labels.
+
+    A label is a non-empty run of characters that are neither whitespace
+    nor one of ``|&()``, so the parser reads every label back as one token;
+    ``∅`` and ``θ0`` are refused, being the names of the empty set and the
+    closure hypothesis.
+    """
 
     __slots__ = ("labels", "n", "full_mask", "_index")
 
@@ -58,7 +72,7 @@ class Frame:
                 f"frame has {len(labels)} labels, maximum is {MAX_POWERSET_LABELS}"
             )
         for lab in labels:
-            if not lab or any(ch in _FORBIDDEN_IN_LABEL for ch in lab):
+            if lab in _RESERVED or not _LABEL.fullmatch(lab):
                 raise CapacityError(f"invalid label {lab!r}")
         self.labels = labels
         self.n = len(labels)
@@ -183,45 +197,48 @@ def free_clauses(text, frame):
 
     Grammar: ``expr := term ('|' term)*``, ``term := atom ('&' atom)*``,
     ``atom := label | '(' expr ')'``.  Intersection binds tighter than
-    union; whitespace is ignored.  The parser builds clause tuples as it
-    reads: a label is ``(1 << i,)``, a term folds its atoms with
-    :func:`intersect_canon` and an expression its terms with
-    :func:`union_canon`.  Each open parenthesis keeps the enclosing
-    expression's partial union and term on an explicit stack, so any depth
-    parses.
+    union.  One ``finditer`` reads the tokens: the operators, and the runs
+    of the pattern :class:`Frame` checks its labels with.  Whitespace (the
+    characters ``str.isspace`` accepts) separates tokens and is otherwise
+    ignored.  The parser builds clause tuples as it reads: a label is
+    ``(1 << i,)``, a term folds its atoms with :func:`intersect_canon` and
+    an expression its terms with :func:`union_canon`.  Each open
+    parenthesis keeps the enclosing expression's partial union and term on
+    an explicit stack, so any depth parses.
     """
-    tokens = _tokenize(text)
+    tokens = list(_TOKEN.finditer(text))
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
     index = frame._index
     stack = []  # per open parenthesis: the enclosing (union, term) read so far
     union = term = None
     want_atom = True
-    for kind, value, off in tokens:
+    for tok in tokens:
+        value = tok[0]
         if want_atom:
-            if kind == "(":
+            if value == "(":
                 stack.append((union, term))
                 union = term = None
                 continue
-            if kind != "label":
-                raise ExprSyntaxError("expected a label or '('", off)
+            if value in ("|", "&", ")"):
+                raise ExprSyntaxError("expected a label or '('", tok.start())
             if value not in index:
-                raise UnknownLabelError(value, off)
+                raise UnknownLabelError(value, tok.start())
             atom = (1 << index[value],)
-        elif kind == "&":
+        elif value == "&":
             want_atom = True
             continue
-        elif kind == "|":
+        elif value == "|":
             union = term if union is None else union_canon(union, term)
             term, want_atom = None, True
             continue
-        elif kind == ")" and stack:
+        elif value == ")" and stack:
             atom = term if union is None else union_canon(union, term)
             union, term = stack.pop()
         elif stack:
-            raise ExprSyntaxError("expected ')'", off)
+            raise ExprSyntaxError("expected ')'", tok.start())
         else:
-            raise ExprSyntaxError(f"unexpected {value!r}", off)
+            raise ExprSyntaxError(f"unexpected {value!r}", tok.start())
         term = atom if term is None else intersect_canon(term, atom)
         want_atom = False
     if want_atom:
@@ -234,25 +251,6 @@ def free_clauses(text, frame):
 def parse_expr(text, frame):
     """Parse a set expression (:func:`free_clauses`) to its free canonical element."""
     return frame.element(free_clauses(text, frame))
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "|&()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "|&()":
-                j += 1
-            tokens.append(("label", text[i:j], i))
-            i = j
-    return tokens
 
 
 # --- models ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .rules_classic import (
+    DYNAMIC,
     STATIC,
     dempster,
     dsm_hybrid,
@@ -14,7 +15,7 @@ from .rules_classic import (
     yager,
 )
 from .rules_core import _finish, conjunctive, disjunctive
-from .rules_minc import VERSION_A, minc
+from .rules_minc import VERSION_A, VERSION_B, minc
 from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi
 
 
@@ -27,6 +28,16 @@ class RuleOptions(namedtuple("RuleOptions", "minc_version wao_mode pcr5_variant 
     """
 
     __slots__ = ()
+
+
+# The rule variants, declared once: each scenario option (also the CLI flag,
+# with ``-`` for ``_``) maps to its :class:`RuleOptions` field and the values
+# it allows.  Absent, a field keeps its :class:`RuleOptions` default.
+VARIANTS = {
+    "minc_version": ("minc_version", (VERSION_A, VERSION_B)),
+    "wao_mode": ("wao_mode", (STATIC, DYNAMIC)),
+    "pcr5": ("pcr5_variant", ("exact", "approx")),
+}
 
 
 def _run_conjunctive(matrix, model, opts, diag):

@@ -419,8 +419,21 @@ SEVEN = [chr(ord("A") + i) for i in range(7)]
     (dict(ZADEH, frame=SEVEN, dynamic_empty=["C"]),
      "dynamic_empty needs a frame of at most 6 labels: hyper-power-set models are limited to 6 labels"),
     (dict(ZADEH, frame=["A", "A"]), "frame: frame labels must be distinct"),
+    # the parser splits on every whitespace character, so the frame refuses labels holding one
+    (dict(ZADEH, frame=["A\u00a0B", "C"], sources=[{"A\u00a0B": 1.0}]), r"frame: invalid label 'A\xa0B'"),
+    # ∅ and θ0 name the special elements; as labels they would print under the same names
+    (dict(frame=["∅", "A"], model={"kind": "shafer", "world": "open"},
+          sources=[{"∅": 0.6, "A": 0.4}, {"A": 0.7, "∅": 0.3}]), "frame: invalid label '∅'"),
+    (dict(ZADEH, frame=["A", "θ0"]), "frame: invalid label 'θ0'"),
+    ({k: v for k, v in ZADEH.items() if k != "frame"}, "missing field 'frame'"),
+    (dict(ZADEH, model={"kind": "flat"}), "model: unknown model kind 'flat'"),
+    # the rule variants and their values, as registry.VARIANTS declares them
+    (dict(ZADEH, options={"minc_version": "c"}), "minc_version must be 'a' or 'b'"),
+    (dict(ZADEH, options={"wao_mode": "mean"}), "wao_mode must be 'static' or 'dynamic'"),
+    (dict(ZADEH, options={"pcr5": "fast"}), "pcr5 must be 'exact' or 'approx'"),
 ], ids=["empty-label", "empty-syntax", "dynamic-label", "dynamic-syntax", "free-seven-labels",
-        "dynamic-seven-labels", "repeated-label"])
+        "dynamic-seven-labels", "repeated-label", "no-break-space-label", "empty-set-label",
+        "theta0-label", "no-frame", "unknown-kind", "minc-version", "wao-mode", "pcr5-variant"])
 def test_constraint_errors_name_the_scenario_and_the_field(tmp_path, capsys, doc, message):
     path = write(tmp_path, doc)
     assert exit_code([path, "--all"]) == 2

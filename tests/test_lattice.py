@@ -37,6 +37,10 @@ def test_frame_rejects_degenerate_inputs():
         Frame(["A", "A"])
     with pytest.raises(CapacityError):
         Frame(["A", "B|C"])
+    # whitespace the parser splits on, and the names of the special elements
+    for label in ("A\u00a0B", "A\x0bB", "A\x0cB", "A\u2003B", "∅", "θ0"):
+        with pytest.raises(CapacityError, match="invalid label"):
+            Frame([label, "C"])
     with pytest.raises(CapacityError):
         Frame([f"h{i}" for i in range(17)])
     Frame([f"h{i}" for i in range(16)])  # at capacity is fine
@@ -269,13 +273,15 @@ def test_prime_form_matches_oracle_reconstruction(frame_abc):
 
 
 @st.composite
-def expressions(draw, labels, depth=4):
+def expressions(draw, labels, depth=4, gap=st.just("")):
+    """A fully parenthesized expression over ``labels``, with a ``gap`` drawn between any two tokens."""
     if depth == 0 or draw(st.booleans()):
         return draw(st.sampled_from(labels))
     op = draw(st.sampled_from(["|", "&"]))
-    left = draw(expressions(labels, depth=depth - 1))
-    right = draw(expressions(labels, depth=depth - 1))
-    return f"({left}{op}{right})"
+    left = draw(expressions(labels, depth - 1, gap))
+    right = draw(expressions(labels, depth - 1, gap))
+    g = [draw(gap) for _ in range(4)]
+    return f"({g[0]}{left}{g[1]}{op}{g[2]}{right}{g[3]})"
 
 
 @given(expressions(["A", "B", "C"]))
@@ -286,6 +292,20 @@ def test_random_expressions_agree_with_region_oracle(text):
     oracle = RegionOracle(frame.labels)
     elem = model.canonical(text)
     assert oracle.evaluate(str(elem)) == oracle.evaluate(text)
+
+
+# runs of whitespace, some of it outside ASCII, that str.isspace accepts
+WHITESPACE = st.text(st.sampled_from(" \t\n\x0b\x0c\xa0\u2003"), max_size=3)
+
+
+@given(expressions(["h0", "Δx", "B2"], gap=WHITESPACE), WHITESPACE, WHITESPACE)
+@settings(max_examples=300, deadline=None)
+def test_parser_splits_on_the_oracles_whitespace(text, lead, trail):
+    """The parser's tokens are the oracle's (which splits on ``str.isspace``), labels of several characters too."""
+    text = lead + text + trail
+    frame = Frame(["h0", "Δx", "B2"])
+    oracle = RegionOracle(frame.labels)
+    assert oracle.evaluate(str(Model(frame, FREE).canonical(text))) == oracle.evaluate(text)
 
 
 @given(expressions(["A", "B", "C"]), expressions(["A", "B", "C"]))
