@@ -1,13 +1,18 @@
 """Belief assignments, the mass matrix and the two passes over its products.
 
-Rule arithmetic runs on exact rationals, converted once per assignment, so
-that summation order can never perturb results.  Masses a user passes in
-snap to small decimals through :func:`to_fraction`.  A rule result is built
-by :meth:`Bba._result`, which rounds each exact mass to a float once, and
-converts back to the exact value of each float, so every step of a
-sequential fusion rounds once.  The folds multiply and add integer
-numerators over a common denominator and build a ``Fraction`` only for what
-is read at the end; results are the same rationals.
+Rule arithmetic is exact, so that summation order can never perturb
+results.  Masses a user passes in snap to small decimals through
+:func:`to_fraction`.  A rule result is built by :meth:`Bba._result` from
+floats that :func:`rules_core._finish` rounded once from the exact masses,
+and it converts back to the exact value of each float, so every step of a
+sequential fusion rounds once.  An exact mass is an integer numerator over
+a denominator its assignment shares: :meth:`Bba.numerators`, the integer
+view, built once per assignment, reads a rule result's floats with
+``as_integer_ratio()`` and scales a user's snapped fractions, with no
+``Fraction`` for a result.  The folds multiply and add these integers, the
+consensus keeps its model view in them (:meth:`RawConjunctive.numerators`)
+and so do the column sums (:meth:`MassMatrix.column_numerators`); their
+``Fraction`` views are built only when read, and are the same rationals.
 
 One product fold, :func:`_fold`, serves every rule but PCR5's walk: the
 conjunctive consensus (:func:`conjunctive`, run at most once per matrix and
@@ -16,7 +21,7 @@ empty focal elements.  The walk (:func:`walk_terms`) only lists the
 conflicting product terms, for PCR5's :func:`conflict_ledger`, and no
 other rule walks.  PCR2's involved elements (:func:`involved`) come from
 folds of the sources' keys alone, with no masses.  The conjunctive fold
-keeps integer numerators and names no entry: :meth:`RawConjunctive.reduced`
+keeps integer numerators and names no entry: :meth:`RawConjunctive.numerators`
 merges them by what the model leaves alive and names each merged element
 once per model; the free view ``RawConjunctive.masses`` is built only when
 read.  Every product pass takes its keys, intersection, union and
@@ -73,7 +78,7 @@ class Bba:
     empty-mass discipline.
     """
 
-    __slots__ = ("model", "masses", "_fractions", "_exact")
+    __slots__ = ("model", "masses", "_fractions", "_exact", "_numerators")
 
     def __init__(self, model, masses):
         self.model = model
@@ -104,27 +109,26 @@ class Bba:
                 continue
             merged[elem] = merged.get(elem, 0) + value
         self.masses = ordered(merged)
-        self._fractions = None
+        self._fractions = self._numerators = None
         self._exact = False
 
     @classmethod
-    def _result(cls, model, merged):
-        """A rule's result from exact masses whose keys are already reduced, merged and sorted.
+    def _result(cls, model, floats):
+        """A rule's result from ``(element, float)`` pairs whose keys are already reduced, merged and sorted.
 
-        Each mass is rounded to a float once; masses below ``1e-12`` are
-        pruned and a negative mass is rejected.  :meth:`fractions` gives back
-        the exact value of each float, so a fed-back result is not snapped.
+        Masses below ``1e-12`` are pruned and a negative mass is rejected.
+        :meth:`fractions` and :meth:`numerators` give back the exact value of
+        each float, so a fed-back result is not snapped.
         """
         self = cls.__new__(cls)
         self.model = model
         self.masses = {}
-        for elem, mass in merged.items():
-            value = float(mass)
+        for elem, value in floats:
             if value < 0:
                 raise NegativeMassError(elem, value)
             if value >= MASS_EPS:
                 self.masses[elem] = value
-        self._fractions = None
+        self._fractions = self._numerators = None
         self._exact = True
         return self
 
@@ -138,6 +142,19 @@ class Bba:
             convert = Fraction if self._exact else to_fraction
             self._fractions = MappingProxyType({k: convert(v) for k, v in self.masses.items()})
         return self._fractions
+
+    def numerators(self):
+        """The integer view: ``(pairs, den)``, built once, that the folds read.
+
+        ``pairs`` holds ``(element, numerator)`` in element order, and
+        ``Fraction(numerator, den)`` is the element's mass in
+        :meth:`fractions`.  A rule result reads its floats' exact ratios,
+        whose denominators are powers of two, so no ``Fraction`` is built;
+        masses a user passed in are scaled from their snapped fractions.
+        """
+        if self._numerators is None:
+            self._numerators = _scaled(self.masses if self._exact else self.fractions())
+        return self._numerators
 
     def total(self):
         return sum(self.masses.values())
@@ -234,53 +251,66 @@ class MassMatrix:
     def fractions(self):
         return tuple(src.fractions() for src in self.sources)
 
-    def column_sums(self, model=None):
+    def numerators(self):
+        return tuple(src.numerators() for src in self.sources)
+
+    def column_numerators(self, model=None):
         """Per-element sums of the source masses, keyed under ``model``, computed once per model.
 
-        Keys are re-reduced when a different model is supplied (dynamic
-        fusion), merging columns that the new constraints identify.
+        Returns ``(sums, den)``: integer numerators over the least common
+        denominator of the sources' integer views.  Keys are re-reduced when
+        a different model is supplied (dynamic fusion), merging columns that
+        the new constraints identify.
         """
         model = model or self.model
         if model not in self._columns:
             self._columns[model] = self._column_sums(model)
         return self._columns[model]
 
+    def column_sums(self, model=None):
+        """The column sums (:meth:`column_numerators`) as exact rationals."""
+        return _over(*self.column_numerators(model))
+
     def _column_sums(self, model):
+        views = self.numerators()
+        den = math.lcm(*(d for _, d in views))
         cols = {}
-        for src in self.sources:
-            for elem, mass in src.fractions().items():
-                accumulate(cols, model.reduce(elem), mass)
-        return ordered(cols)
+        for pairs, d in views:
+            for elem, n in pairs:
+                key = model.reduce(elem)
+                cols[key] = cols.get(key, 0) + n * (den // d)
+        return ordered(cols), den
 
 
 def column_sum(matrix, element, model=None):
     """Sum of the masses the sources commit to one element."""
     model = model or matrix.model
-    return float(matrix.column_sums(model).get(model.reduce(element), Fraction(0)))
+    sums, den = matrix.column_numerators(model)
+    return sums.get(model.reduce(element), 0) / den
 
 
-def _numerators(src, key):
-    """A source's masses as integer numerators over their least common denominator.
-
-    Each entry is ``(key(element), clauses, numerator)``.
-    """
-    den = math.lcm(*(v.denominator for v in src.values()))
-    return [(key(elem), elem.clauses, v.numerator * (den // v.denominator)) for elem, v in src.items()], den
+def _scaled(masses):
+    """Exact masses by element (floats or fractions) as ``(pairs, den)``: numerators over one common denominator."""
+    ratios = [(elem, v.as_integer_ratio()) for elem, v in masses.items()]
+    den = math.lcm(*(q for _, (_, q) in ratios))
+    return tuple((elem, p * (den // q)) for elem, (p, q) in ratios), den
 
 
-def _fold(fracs, key, op, clauses_of):
-    """Fold the sources' exact masses left to right, product by product, in integers.
+def _fold(views, key, op, clauses_of):
+    """Fold the sources' integer views left to right, product by product.
 
-    ``key(element)`` keys each focal element, ``op(a, b)`` maps the keys of
-    two factors to the key ``k`` that receives their product, and
-    ``clauses_of(k, ka, ca, kb, cb)`` gives a clause tuple for a product,
-    from that key and the factors' keys and clauses, when it reaches a new
-    key.  Entries of the first source that share a key are merged.  Each
-    source is scaled to integer numerators over its own common
-    denominator, so the fold is integer multiply-add.  Returns ``(entries, den)``: ``entries`` maps each
-    key to ``[clauses, numerator]``, where ``absorb_masks(clauses)`` names
-    the entry and ``Fraction(numerator, den)`` is its mass, the same
-    rational as a fold of fractions (:func:`_named` builds that view).
+    ``views`` holds one ``(pairs, den)`` per source, as
+    :meth:`Bba.numerators` gives them.  ``key(element)`` keys each focal
+    element, ``op(a, b)`` maps the keys of two factors to the key ``k``
+    that receives their product, and ``clauses_of(k, ka, ca, kb, cb)``
+    gives a clause tuple for a product, from that key and the factors'
+    keys and clauses, when it reaches a new key.  Entries of the first
+    source that share a key are merged.  The fold is integer multiply-add.
+    Returns ``(entries, den)``: ``entries`` maps each key to ``[clauses,
+    numerator]``, where ``absorb_masks(clauses)`` names the entry and
+    ``Fraction(numerator, den)`` is its mass, the same rational as a fold
+    of fractions (:func:`_named` names the entries), and ``den`` is the
+    product of the sources' denominators.
 
     Keys come from :meth:`Model.keying`.  The conjunctive fold passes ``(key,
     meet, concatenation)``: an entry keeps the concatenated clauses of the
@@ -289,12 +319,12 @@ def _fold(fracs, key, op, clauses_of):
     ``(key, join, rules_core._unite)``, the union of the clauses, which is
     the key itself where keys are clause tuples.
     """
-    entries, den = _numerators(fracs[0], key)
+    (pairs, den), *rest = views
     acc = {}
-    for k, clauses, v in entries:
-        acc.setdefault(k, [clauses, 0])[1] += v
-    for src in fracs[1:]:
-        entries, d = _numerators(src, key)
+    for elem, v in pairs:
+        acc.setdefault(key(elem), [elem.clauses, 0])[1] += v
+    for pairs, d in rest:
+        entries = [(key(elem), elem.clauses, v) for elem, v in pairs]
         out = {}
         for ka, (ca, va) in acc.items():
             for kb, cb, vb in entries:
@@ -311,36 +341,42 @@ def _concat(k, ka, ca, kb, cb):
     return ca + cb
 
 
-def _named(entries, den, frame):
-    """A fold's entries (:func:`_fold`) as elements mapped to exact masses."""
-    return {frame.element(absorb_masks(clauses)): Fraction(v, den) for clauses, v in entries.values()}
+def _named(entries, frame):
+    """A fold's entries (:func:`_fold`) as elements mapped to their integer numerators."""
+    return {frame.element(absorb_masks(clauses)): v for clauses, v in entries.values()}
+
+
+def _over(numerators, den):
+    """Integer numerators over ``den`` as exact rationals."""
+    return {elem: Fraction(v, den) for elem, v in numerators.items()}
 
 
 class RawConjunctive:
-    """Conjunctive consensus on the free lattice, as integer fold entries.
+    """Conjunctive consensus on the free lattice, as integer fold entries over ``den``.
 
-    ``reduced()`` gives the model view: merged non-empty masses, the
-    per-element partial conflicts, and the total conflict.  ``masses`` is
-    the free view, built on first read: free-canonical clause tuples wrapped
-    as elements, mapped to exact rational masses, empty-intersection entries
-    included, so the total is one.
+    ``numerators()`` gives the model view in integers: merged non-empty
+    masses, the per-element partial conflicts, and the total conflict.
+    ``reduced()`` is the same view as exact rationals, and ``masses`` the
+    free view: free-canonical clause tuples wrapped as elements, mapped to
+    exact rational masses, empty-intersection entries included, so the
+    total is one.  Both are built on first read.
     """
 
-    __slots__ = ("model", "_entries", "_den", "_masses", "_reduced")
+    __slots__ = ("model", "den", "_entries", "_masses", "_numerators", "_reduced")
 
     def __init__(self, model, entries, den):
         self.model = model
-        self._entries, self._den = entries, den
-        self._masses = self._reduced = None
+        self._entries, self.den = entries, den
+        self._masses = self._numerators = self._reduced = None
 
     @property
     def masses(self):
         if self._masses is None:
-            self._masses = ordered(_named(self._entries, self._den, self.model.frame))
+            self._masses = ordered(_over(_named(self._entries, self.model.frame), self.den))
         return self._masses
 
-    def reduced(self):
-        """Return ``(nonempty, conflicts, k)`` under the model.
+    def numerators(self):
+        """Return ``(nonempty, conflicts, k)`` under the model, as integer numerators over ``den``.
 
         Both maps are keyed by the elements :meth:`Model.reduce` returns; a
         partial conflict keeps its free canonical form, flagged empty.
@@ -349,21 +385,28 @@ class RawConjunctive:
         names each merged group under its live key and each conflict under
         its free key, once per model.
         """
-        if self._reduced is None:
-            model, den = self.model, self._den
+        if self._numerators is None:
+            model = self.model
             live = model.keying()[4]
             groups, conflicts, k = {}, {}, 0
             for key, (clauses, v) in self._entries.items():
                 here = live(key)
                 if not here:
-                    conflicts[model.name(key, clauses)] = Fraction(v, den)
+                    conflicts[model.name(key, clauses)] = v
                     k += v
                 elif (group := groups.get(here)) is None:
                     groups[here] = [clauses, v]
                 else:
                     group[1] += v
-            nonempty = {model.name(here, clauses): Fraction(v, den) for here, (clauses, v) in groups.items()}
-            self._reduced = ordered(nonempty), ordered(conflicts), Fraction(k, den)
+            nonempty = {model.name(here, clauses): v for here, (clauses, v) in groups.items()}
+            self._numerators = ordered(nonempty), ordered(conflicts), k
+        return self._numerators
+
+    def reduced(self):
+        """Return ``(nonempty, conflicts, k)`` as exact rationals: :meth:`numerators` over ``den``."""
+        if self._reduced is None:
+            nonempty, conflicts, k = self.numerators()
+            self._reduced = _over(nonempty, self.den), _over(conflicts, self.den), Fraction(k, self.den)
         return self._reduced
 
 
@@ -378,7 +421,7 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     raw = matrix._consensus.get(model)
     if raw is None:
         key, meet = model.keying()[:2]
-        raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.fractions(), key, meet, _concat))
+        raw = matrix._consensus[model] = RawConjunctive(model, *_fold(matrix.numerators(), key, meet, _concat))
     return raw
 
 
@@ -431,8 +474,8 @@ def _walk(keyed, meet, conflict, terms, factors, product, prefix):
 def involved(model, focal_lists):
     """PCR2's elements involved in the conflict, from keys alone.
 
-    ``focal_lists`` holds each source's focal elements, such as
-    ``src.fractions()``.  A focal element X of source i that is non-empty
+    ``focal_lists`` holds each source's focal elements, such as the
+    sources themselves.  A focal element X of source i that is non-empty
     under ``model`` is involved when some conflicting product puts it at
     position i and it does not include the intersection R of the other
     factors.  The R range over a fold of the other sources' keys
@@ -466,7 +509,7 @@ def conflict_ledger(matrix, model=None):
     """
     model = model or matrix.model
     if model not in matrix._ledgers:
-        k = conjunctive(matrix, model).reduced()[2]
+        k = conjunctive(matrix, model).numerators()[2]
         terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
         matrix._ledgers[model] = ConflictLedger(tuple(terms))
     return matrix._ledgers[model]

@@ -122,11 +122,18 @@ def _tables(doc, key, path):
 
 
 def _bbas(doc, key, model, where, path):
-    """The mass tables under ``key`` as validated assignments; a bad one is named by ``where`` and its number."""
+    """The mass tables under ``key`` as validated assignments; a bad one is named by ``where`` and its number.
+
+    A key that is exactly ``θ0`` or ``∅``, as the machine format writes
+    them, reads as that element; ``θ0`` only under a model that enables it.
+    """
+    special = {"θ0": model.frame.theta0(), "∅": model.frame.empty_element()}
     bbas = []
     for i, table in enumerate(_tables(doc, key, path)):
         try:
-            bbas.append(validate_bba(Bba(model, table)))
+            if "θ0" in table and not model.theta0_enabled:
+                raise ScenarioError("mass on 'θ0' needs a model with theta0 enabled")
+            bbas.append(validate_bba(Bba(model, {special.get(k, k): v for k, v in table.items()})))
         except BeliefFusionError as exc:
             raise ScenarioError(f"{path}: {where} {i + 1}: {exc}") from exc
     return bbas
@@ -225,7 +232,8 @@ def run_scenario(scenario) -> Report:
     """Run the selected rules once over all sources."""
     matrix = MassMatrix(scenario.sources)
     runs = [_execute(name, matrix, scenario) for name in scenario.rules]
-    k = float(conjunctive(matrix, scenario.fusion_model).reduced()[2])
+    raw = conjunctive(matrix, scenario.fusion_model)
+    k = raw.numerators()[2] / raw.den
     return Report(scenario, runs, k=k)
 
 

@@ -41,8 +41,9 @@ VARIANTS = {
 
 
 def _run_conjunctive(matrix, model, opts, diag):
-    nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
-    return _finish(model, {**nonempty, **conflicts})
+    raw = conjunctive(matrix, model)
+    nonempty, conflicts, _ = raw.numerators()
+    return _finish(model, {}, ints=({**nonempty, **conflicts}, raw.den))
 
 
 def _run_pcr5(matrix, model, opts, diag):

@@ -32,8 +32,6 @@ from .kernels import union_canon
 from .rules_core import _finish, _fold, _named, conjunctive
 from .rules_pcr import pcr1
 
-_K_ONE_TOL = Fraction(1, 10 ** 12)
-
 
 def dempster(matrix, model=None, diag=None) -> Bba:
     """Dempster's rule: conjunctive consensus scaled by 1/(1-k).
@@ -42,28 +40,30 @@ def dempster(matrix, model=None, diag=None) -> Bba:
     one, where the normalization is undefined.
     """
     model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    if 1 - k <= _K_ONE_TOL:
-        raise TotalConflictError(float(k))
-    out = {elem: mass / (1 - k) for elem, mass in nonempty.items()}
-    return _finish(model, out)
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
+    if (raw.den - k) * 10 ** 12 <= raw.den:  # 1 - k <= 1e-12, in integers
+        raise TotalConflictError(k / raw.den)
+    return _finish(model, {}, ints=(nonempty, raw.den - k))
 
 
 def smets(matrix, model=None, diag=None) -> Bba:
     """Smets' rule: unnormalized conjunctive consensus, conflict on ∅."""
     model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
-    add(out, model.frame.empty_element(), k)
-    return _finish(model, out)
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
+    nonempty = dict(nonempty)
+    add(nonempty, model.frame.empty_element(), k)
+    return _finish(model, {}, ints=(nonempty, raw.den))
 
 
 def yager(matrix, model=None, diag=None) -> Bba:
     """Yager's rule: the whole conflict reinforces the total ignorance."""
     model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    units = [("total-conflict", k, [], 0)] if k else []
-    return _finish(model, redistribute(model, dict(nonempty), units, diag))
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
+    units = [("total-conflict", Fraction(k, raw.den), [], 0)] if k else []
+    return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
 
 def dubois_prade(matrix, model=None, diag=None) -> Bba:
@@ -77,7 +77,8 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     """
     model = model or matrix.model
     if matrix.s == 1:  # no product: the source under the model, each empty focal element kept apart
-        return _finish(model, matrix.fractions()[0])
+        pairs, den = matrix.sources[0].numerators()
+        return _finish(model, {}, ints=(dict(pairs), den))
     key, _, _, _, live = model.keying()
     ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
     top = live(key(ignorance))
@@ -85,12 +86,12 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     def clauses_of(k, ka, ca, kb, cb):
         return ca + cb if ka & kb else union_canon(ca, cb) if ka | kb else ignorance.clauses
 
-    entries, den = _fold(matrix.fractions(), lambda e: live(key(e)),
+    entries, den = _fold(matrix.numerators(), lambda e: live(key(e)),
                          lambda a, b: a & b or a | b or top, clauses_of)
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
-    return _finish(model, _named(entries, den, model.frame))
+    return _finish(model, {}, ints=(_named(entries, model.frame), den))
 
 
 def _all_empty_products(matrix, model):
@@ -100,19 +101,19 @@ def _all_empty_products(matrix, model):
     the product's free intersection and the union of its factors' labels
     (a mask); there is none when some source has no empty focal element,
     and the sources after the first such one are not scanned.  Returns
-    sorted ``(element, mask, mass)`` triples, each element named by
-    :meth:`Model.name` under the product's free key.
+    sorted ``(element, mask, numerator)`` triples, each element named by
+    :meth:`Model.name` under the product's free key; the numerators are
+    over the consensus's ``den``, the product of the sources' denominators.
     """
     key, meet, _, _, live = model.keying()
     empties = []
-    for src in matrix.fractions():
-        if not (empty := {elem: v for elem, v in src.items() if not live(key(elem))}):
+    for pairs, den in matrix.numerators():
+        if not (empty := [(elem, v) for elem, v in pairs if not live(key(elem))]):
             return []
-        empties.append(empty)
-    entries, den = _fold(empties, lambda e: (key(e), e.labels_mask()),
+        empties.append((empty, den))
+    entries, _ = _fold(empties, lambda e: (key(e), e.labels_mask()),
                          lambda a, b: (meet(a[0], b[0]), a[1] | b[1]), _concat)
-    return sorted((model.name(free, clauses), mask, Fraction(v, den))
-                  for (free, mask), (clauses, v) in entries.items())
+    return sorted((model.name(free, clauses), mask, v) for (free, mask), (clauses, v) in entries.items())
 
 
 def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
@@ -130,16 +131,17 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     label union (:func:`_all_empty_products`).
     """
     model = model or matrix.model
-    nonempty, conflicts, k = conjunctive(matrix, model).reduced()
+    raw = conjunctive(matrix, model)
+    nonempty, conflicts, k = raw.numerators()
     rest, units = dict(conflicts), []
-    for conflict, mask, mass in _all_empty_products(matrix, model) if k else ():
-        rest[conflict] -= mass
-        units.append((conflict, mass, [], mask))
-    units += [(conflict, mass, [], conflict.labels_mask()) for conflict, mass in rest.items() if mass]
-    out = redistribute(model, dict(nonempty), units, diag)
+    for conflict, mask, v in _all_empty_products(matrix, model) if k else ():
+        rest[conflict] -= v
+        units.append((conflict, Fraction(v, raw.den), [], mask))
+    units += [(conflict, Fraction(v, raw.den), [], conflict.labels_mask()) for conflict, v in rest.items() if v]
+    out = redistribute(model, {}, units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")
-    return _finish(model, out)
+    return _finish(model, out, ints=(nonempty, raw.den))
 
 
 def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
@@ -159,11 +161,12 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
     total = sum(wnorm.values(), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
         raise NotNormalizedError(float(total))
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
+    out, k = {}, Fraction(k, raw.den)
     for elem, w in wnorm.items():
         add(out, elem, w * k)
-    return _finish(model, out)
+    return _finish(model, out, ints=(nonempty, raw.den))
 
 
 STATIC = "static"
@@ -186,8 +189,9 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
     if mode != STATIC:
         raise ValueError(f"unknown mode {mode!r}")
     model = model or matrix.model
-    nonempty, _, k = conjunctive(matrix, model).reduced()
-    out = dict(nonempty)
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
+    out, k = {}, Fraction(k, raw.den)
     dropped = Fraction(0)
     if k:
         denom = Fraction(matrix.s)
@@ -201,4 +205,4 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
                 diag.record("total-conflict", elem, share, denom)
     if diag is not None and dropped:
         diag.sum_deficit = float(dropped)
-    return _finish(model, out)
+    return _finish(model, out, ints=(nonempty, raw.den))

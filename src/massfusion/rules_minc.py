@@ -4,8 +4,9 @@ Three stages: conjunctive consensus on the free lattice, reallocation of
 every mixed element that the model identifies with a non-empty power-set
 element (the equivalence-based reallocation), then proportional
 redistribution of the remaining partial conflicts.  The second stage is the
-consensus's ``reduced()`` view, which merges every non-empty entry onto its
-reduced form and keeps each partial conflict apart.  Version a spreads a
+consensus's model view (:meth:`RawConjunctive.numerators`), which merges
+every non-empty entry onto its reduced form and keeps each partial conflict
+apart; a destination's mass becomes a ``Fraction`` weight only when read.  Version a spreads a
 conflict over the unions of subsets of its components; version b over every
 non-empty power-set element under its disjunctive form.
 
@@ -19,6 +20,8 @@ each once (:meth:`Model.disjunctive`).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .bba import Bba
 from .rules_pcr import _partial_conflicts
@@ -54,9 +57,9 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
         raise ValueError(f"unknown minC version {version!r}")
     destinations = _destinations_a if version == VERSION_A else _destinations_b
 
-    def unit(model, conflict, comps, by_columns, nonempty):
+    def unit(model, conflict, comps, by_columns, nonempty, den):
         dests = destinations(model, conflict, comps, nonempty)
-        return [(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)]),
+        return [(None, [(d, Fraction(nonempty[d], den)) for d in dests if nonempty.get(d)]),
                 ("column-sums", sorted(by_columns))]
 
     return _partial_conflicts(matrix, model or matrix.model, diag, unit)

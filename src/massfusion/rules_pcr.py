@@ -18,7 +18,10 @@ weighting is empty (then the total ignorance, then θ0 or ∅).
 
 Arithmetic is exact rational throughout, which makes the results
 independent of source order and lets the convergence behaviour of PCR5 be
-checked symbolically.
+checked symbolically.  PCR1-PCR4 hand the consensus's non-empty masses to
+:func:`rules_core._finish` as integer numerators and build ``Fraction``
+weights only for the columns or components a unit reads; PCR5 hands over
+its full exact map.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ def _total_conflict(matrix, model, diag, involved_only):
     conflict; when none of them is non-empty with mass, ``k`` goes down the
     fallback chain from the disjunctive form of their labels.
     """
-    nonempty, _, k = conjunctive(matrix, model).reduced()
+    raw = conjunctive(matrix, model)
+    nonempty, _, k = raw.numerators()
     units = []
     if k:
         sums = matrix.column_sums(model)
-        spread = sorted(involved(model, matrix.fractions())) if involved_only else list(sums)
+        spread = sorted(involved(model, matrix.sources)) if involved_only else list(sums)
         cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
         weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
-        units.append(("total-conflict", k, [(None, weighted)], reduce(or_, (e.labels_mask() for e in spread), 0)))
-    return _finish(model, redistribute(model, dict(nonempty), units, diag))
+        units.append(("total-conflict", Fraction(k, raw.den), [(None, weighted)],
+                      reduce(or_, (e.labels_mask() for e in spread), 0)))
+    return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
 
 def pcr1(matrix, model=None, diag=None) -> Bba:
@@ -76,22 +81,27 @@ def _partial_conflicts(matrix, model, diag, unit):
     A conflict's components are the disjunctive forms of its clauses, each
     kept once: under dynamic constraints two clauses can collapse to one
     element, and counting it twice would skew the proportional split.
-    ``unit(model, conflict, components, by_columns, nonempty)`` gives the
-    conflict's weightings from its components, their column-sum weighting
-    and the consensus's non-empty masses.  The fallback chain starts at the
-    conflict's labels, whose disjunctive form is that of its components.
+    ``unit(model, conflict, components, by_columns, nonempty, den)`` gives
+    the conflict's weightings from its components, their column-sum
+    weighting and the consensus's non-empty masses, as integer numerators
+    over ``den``.  The fallback chain starts at the conflict's labels, whose
+    disjunctive form is that of its components.  With no partial conflict,
+    no column sum is read.
     """
-    nonempty, conflicts, _ = conjunctive(matrix, model).reduced()
-    columns = matrix.column_sums(model)
+    raw = conjunctive(matrix, model)
+    nonempty, conflicts, _ = raw.numerators()
     units = []
-    for conflict, mass in conflicts.items():
-        comps = list(dict.fromkeys(model.disjunctive(c) for c in conflict.clauses))
-        by_columns = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)]
-        units.append((conflict, mass, unit(model, conflict, comps, by_columns, nonempty), conflict.labels_mask()))
-    return _finish(model, redistribute(model, dict(nonempty), units, diag))
+    if conflicts:
+        columns, cden = matrix.column_numerators(model)
+        for conflict, v in conflicts.items():
+            comps = list(dict.fromkeys(model.disjunctive(c) for c in conflict.clauses))
+            by_columns = [(e, Fraction(columns[e], cden)) for e in comps if not e.empty and columns.get(e)]
+            units.append((conflict, Fraction(v, raw.den), unit(model, conflict, comps, by_columns, nonempty, raw.den),
+                          conflict.labels_mask()))
+    return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
 
-def _pcr3_unit(model, conflict, comps, by_columns, nonempty):
+def _pcr3_unit(model, conflict, comps, by_columns, nonempty, den):
     """The components' column sums."""
     return [(None, by_columns)]
 
@@ -101,13 +111,13 @@ def pcr3(matrix, model=None, diag=None) -> Bba:
     return _partial_conflicts(matrix, model or matrix.model, diag, _pcr3_unit)
 
 
-def _pcr4_unit(model, conflict, comps, by_columns, nonempty):
+def _pcr4_unit(model, conflict, comps, by_columns, nonempty, den):
     """Conjunctive masses when every component has one, else column sums.
 
     An empty component never has a conjunctive mass.
     """
     masses = all(nonempty.get(e) for e in comps)
-    return [(None, [(e, nonempty[e]) for e in comps] if masses else []), ("column-sums", by_columns)]
+    return [(None, [(e, Fraction(nonempty[e], den)) for e in comps] if masses else []), ("column-sums", by_columns)]
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from massfusion import (
     Bba,
@@ -11,11 +11,14 @@ from massfusion import (
     Model,
     NegativeMassError,
     NotNormalizedError,
+    RULES,
     SHAFER,
     FREE,
+    TotalConflictError,
     column_sum,
     conflict_ledger,
     conjunctive,
+    run_rule,
     to_fraction,
     vacuous_bba,
     validate_bba,
@@ -209,3 +212,45 @@ def test_decimal_masses_become_small_rationals(numer):
 @settings(max_examples=200)
 def test_any_float_mass_roundtrips(x):
     assert abs(float(to_fraction(x)) - x) <= 1e-12
+
+
+# --- integer views ------------------------------------------------------------
+
+
+def over(pairs, den):
+    """``(element, numerator)`` pairs over ``den`` as an ordered list of exact masses."""
+    return [(elem, Fraction(n, den)) for elem, n in pairs]
+
+
+@given(exact_matrices(), st.lists(st.floats(1e-9, 1), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_integer_views_equal_the_rational_views(m, floats):
+    """Every integer view, read over its denominator, is its rational view, in the same order."""
+    model = m.model
+    focals = list(m[0])
+    user = Bba(model, dict(zip(focals, floats)))  # snapped where a float is near a short decimal
+    results = []
+    for name in RULES:
+        try:
+            results.append(run_rule(name, m))  # rule results, fed back as the next step's sources
+        except TotalConflictError:
+            pass
+    for b in [*m.sources, user, *results]:
+        assert over(*b.numerators()) == list(b.fractions().items())
+    raw = conjunctive(m)
+    nonempty, conflicts, k = raw.numerators()
+    want_nonempty, want_conflicts, want_k = raw.reduced()
+    assert over(nonempty.items(), raw.den) == list(want_nonempty.items())
+    assert over(conflicts.items(), raw.den) == list(want_conflicts.items())
+    assert Fraction(k, raw.den) == want_k
+
+
+@given(st.integers(0, 2 ** 64), st.integers(1, 2 ** 64), st.integers(1, 2 ** 4000), st.integers(0, 400))
+@example(3, 7, 2 ** 4000 - 1, 0)
+@example(1, 3, 10 ** 1000, 13)  # 1/3 * 1e-13
+@example(1, 1, 1, 330)  # below the smallest normal float
+@settings(max_examples=300)
+def test_int_division_reads_out_float_of_the_fraction(p, q, scale, tiny):
+    """``n / den`` on an unreduced pair is ``float(Fraction(n, den))``: correctly rounded, thousands of bits wide."""
+    n, den = p * scale, q * scale * 10 ** tiny
+    assert n / den == float(Fraction(n, den))

@@ -431,13 +431,42 @@ SEVEN = [chr(ord("A") + i) for i in range(7)]
     (dict(ZADEH, options={"minc_version": "c"}), "minc_version must be 'a' or 'b'"),
     (dict(ZADEH, options={"wao_mode": "mean"}), "wao_mode must be 'static' or 'dynamic'"),
     (dict(ZADEH, options={"pcr5": "fast"}), "pcr5 must be 'exact' or 'approx'"),
+    # a mass key that is exactly θ0 or ∅ reads as that element, θ0 only where the model enables it
+    (dict(ZADEH, sources=[{"θ0": 0.1, "A": 0.9}, {"B": 0.9, "C": 0.1}]),
+     "source 1: mass on 'θ0' needs a model with theta0 enabled"),
+    (dict(TARGET_STREAM, stream=[{"A": 0.5, "B": 0.5}, {"θ0": 0.5, "B": 0.5}]),
+     "stream entry 2: mass on 'θ0' needs a model with theta0 enabled"),
+    (dict(ZADEH, sources=[{"A": 0.9, "C": 0.1}, {"∅": 0.1, "B": 0.9}]), "source 2: mass on empty element ∅"),
+    # constraints and expressions keep refusing both names
+    (dict(ZADEH, model={"kind": "hybrid", "empty": ["θ0"], "theta0": True}),
+     "model.empty entry 1: unknown label 'θ0' (at offset 0)"),
+    (dict(ZADEH, model={"kind": "shafer", "world": "open"}, dynamic_empty=["∅"]),
+     "dynamic_empty entry 1: unknown label '∅' (at offset 0)"),
+    (dict(ZADEH, model={"kind": "shafer", "world": "open", "theta0": True},
+          sources=[{"A|θ0": 0.1, "A": 0.9}, {"B": 0.9, "C": 0.1}]), "source 1: unknown label 'θ0' (at offset 2)"),
+    (dict(ZADEH, model={"kind": "shafer", "world": "open"}, sources=[{"∅|A": 1.0}, {"B": 1.0}]),
+     "source 1: unknown label '∅' (at offset 0)"),
 ], ids=["empty-label", "empty-syntax", "dynamic-label", "dynamic-syntax", "free-seven-labels",
         "dynamic-seven-labels", "repeated-label", "no-break-space-label", "empty-set-label",
-        "theta0-label", "no-frame", "unknown-kind", "minc-version", "wao-mode", "pcr5-variant"])
+        "theta0-label", "no-frame", "unknown-kind", "minc-version", "wao-mode", "pcr5-variant",
+        "theta0-key-disabled", "theta0-stream-key-disabled", "empty-set-key-closed-world",
+        "theta0-constraint", "empty-set-dynamic-constraint", "theta0-in-expression", "empty-set-in-expression"])
 def test_constraint_errors_name_the_scenario_and_the_field(tmp_path, capsys, doc, message):
     path = write(tmp_path, doc)
     assert exit_code([path, "--all"]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_machine_keys_for_theta0_and_the_empty_set_read_back(tmp_path, capsys):
+    """Masses the machine format writes under ``θ0`` and ``∅`` are a valid source again."""
+    model = {"kind": "shafer", "world": "open", "theta0": True}
+    doc = {"frame": ["A", "B"], "model": model, "rules": ["smets"],
+           "sources": [{"θ0": 0.25, "A": 0.75}, {"∅": 0.2, "B": 0.3, "θ0": 0.5}]}
+    code, out = run_table(doc, tmp_path, capsys, "--format", "machine")
+    masses = json.loads(out)["rules"]["smets"]["masses"]
+    assert code == 0 and set(masses) == {"θ0", "∅", "A", "B"}
+    code, out = run_table(dict(doc, sources=[masses], rules=["conjunctive"]), tmp_path, capsys, "--format", "machine")
+    assert code == 0 and json.loads(out)["rules"]["conjunctive"]["masses"] == masses
 
 
 def test_a_rule_named_twice_runs_once(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from massfusion import (
@@ -51,6 +53,18 @@ def test_dempster_pair(shafer_ab):
 def test_dempster_total_conflict(shafer_ab):
     with pytest.raises(TotalConflictError):
         dempster(matrix(shafer_ab, {"A": 1.0}, {"B": 1.0}))
+
+
+@pytest.mark.parametrize("gap, undefined", [(Fraction(1, 10 ** 12), True), (Fraction(2, 10 ** 12), False)])
+def test_dempster_threshold_is_exact_on_the_integer_view(shafer_ab, gap, undefined):
+    """1 - k = 1e-12 is total conflict; 2e-12 still normalizes."""
+    m = matrix(shafer_ab, {"A": Fraction(1)}, {"A": gap, "B": 1 - gap})
+    assert 1 - conjunctive(m).reduced()[2] == gap
+    if undefined:
+        with pytest.raises(TotalConflictError):
+            dempster(m)
+    else:
+        assert dict(dempster(m).items()) == {shafer_ab.canonical("A"): 1.0}
 
 
 def test_dempster_is_scaled_conjunctive(rng):

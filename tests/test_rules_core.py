@@ -204,16 +204,17 @@ def fold_fractions(fracs, model, combine):
     """
     key, meet, join = model.keying()[:3]
     op, clauses_of = {intersect_canon: (meet, bba._concat), union_canon: (join, rules_core._unite)}[combine]
-    entries, den = bba._fold(fracs, key, op, clauses_of)
+    entries, den = bba._fold([bba._scaled(f) for f in fracs], key, op, clauses_of)
     return {absorb_masks(clauses): Fraction(v, den) for clauses, v in entries.values()}
 
 
 def dubois_prade_exact(m, model):
     """``dubois_prade``'s exact masses, merged and sorted under ``model`` before its one rounding."""
     finished = []
-    with patch.object(rules_classic, "_finish", lambda model, out: finished.append(dict(out))):
+    with patch.object(rules_classic, "_finish", lambda model, out, exact=False, ints=None: finished.append(
+            (dict(out), ints))):
         rules_classic.dubois_prade(m, model)
-    return _finish(model, finished[0], exact=True)
+    return _finish(model, finished[0][0], True, finished[0][1])
 
 
 def dubois_prade_reference(m, model):
@@ -437,8 +438,8 @@ def count_passes(monkeypatch):
     """Record each consensus fold (by the sources it folds) and each ledger walk."""
     folds, walks = [], []
     fold, walk = bba._fold, bba.walk_terms
-    monkeypatch.setattr(bba, "_fold", lambda fracs, *args: folds.append(
-        tuple(map(id, fracs))) or fold(fracs, *args))
+    monkeypatch.setattr(bba, "_fold", lambda views, *args: folds.append(
+        tuple(map(id, views))) or fold(views, *args))
     monkeypatch.setattr(bba, "walk_terms", lambda *args: walks.append(args) or walk(*args))
     return folds, walks
 
@@ -452,7 +453,7 @@ def test_rules_on_one_matrix_share_one_consensus_and_one_ledger(monkeypatch):
             run_rule(name, m, options=opts, diag=Diagnostics())
     assert conjunctive(m) is raw and conjunctive(m, m.model) is raw
     # one fold of the matrix, plus one of the approximate PCR5's head (the first s-1 sources)
-    assert folds == [tuple(map(id, m.fractions())), tuple(map(id, m.fractions()[:2]))]
+    assert folds == [tuple(map(id, m.numerators())), tuple(map(id, m.numerators()[:2]))]
     assert len(walks) == 1
     other = Model(m.model.frame, FREE)
     assert conjunctive(m, other) is not raw
@@ -467,7 +468,7 @@ def test_sequential_fusion_folds_the_initial_consensus_once(monkeypatch):
         "stream": [{"A": 0.4, "B": 0.6}, {"A": 0.5, "A|B": 0.5}]})
     report = sequential_fusion(scenario)
     assert [run.name for run in report.runs] == list(RULES) and not report.failed()
-    initial = tuple(id(src.fractions()) for src in scenario.sources)
+    initial = tuple(id(src.numerators()) for src in scenario.sources)
     assert folds.count(initial) == 1
 
 
@@ -580,12 +581,12 @@ def matrices_and_fusion_models(draw):
 
 
 def each_rule_result(m, model):
-    """``(result, (model, out))`` per rule and variant: the ``Bba`` and what the rule handed ``_finish``."""
+    """``(result, (model, out, ints))`` per rule and variant: the ``Bba`` and what the rule handed ``_finish``."""
     finished = []
 
-    def record(model, out, exact=False):
-        finished.append((model, dict(out)))
-        return _finish(model, out, exact)
+    def record(model, out, exact=False, ints=None):
+        finished.append((model, dict(out), ints))
+        return _finish(model, out, exact, ints)
 
     with contextlib.ExitStack() as stack:
         for module in (registry, rules_classic, rules_core, rules_pcr):
@@ -604,8 +605,8 @@ def each_rule_result(m, model):
 @given(matrices_and_fusion_models())
 @settings(max_examples=100, deadline=None)
 def test_rule_results_equal_a_bba_built_from_their_exact_masses(case):
-    for result, (model, out) in each_rule_result(*case):
-        expected = Bba(model, {k: float(v) for k, v in _finish(model, out, exact=True).items()})
+    for result, (model, out, ints) in each_rule_result(*case):
+        expected = Bba(model, {k: float(v) for k, v in _finish(model, out, True, ints).items()})
         assert result.model == expected.model
         assert list(result.items()) == list(expected.items())
 
@@ -804,9 +805,10 @@ def fallback_sums(diag):
 def test_dsm_hybrid_per_partial_conflict_equals_the_per_term_rule(case):
     m, model = case
     finished, diag, want_diag = [], Diagnostics(), Diagnostics()
-    with patch.object(rules_classic, "_finish", lambda model, out: finished.append(dict(out))):
+    with patch.object(rules_classic, "_finish", lambda model, out, exact=False, ints=None: finished.append(
+            (dict(out), ints))):
         rules_classic.dsm_hybrid(MassMatrix(m.sources), model, diag)
-    assert _finish(model, finished[0], exact=True) == dsm_hybrid_per_term(m, model, want_diag)
+    assert _finish(model, finished[0][0], True, finished[0][1]) == dsm_hybrid_per_term(m, model, want_diag)
     assert fallback_sums(diag) == fallback_sums(want_diag)
     assert len(diag.fallbacks) <= len(want_diag.fallbacks)
 
@@ -816,5 +818,5 @@ def test_pcr2_and_dsm_hybrid_on_a_fresh_matrix_fold_once_and_never_walk(monkeypa
     folds, walks = count_passes(monkeypatch)
     m = hybrid_triple()
     assert run_rule(name, m).total() == pytest.approx(1.0, abs=1e-12)
-    assert folds == [tuple(map(id, m.fractions()))] and walks == []
+    assert folds == [tuple(map(id, m.numerators()))] and walks == []
     assert conjunctive(m).reduced()[2] > 0  # there was conflict to walk
