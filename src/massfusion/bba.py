@@ -103,9 +103,7 @@ class Bba:
                     raise BeliefFusionError(f"mass {value!r} on {elem} is not finite")
             if value < 0:
                 raise NegativeMassError(elem, value)
-            if isinstance(value, float) and value < MASS_EPS:
-                continue
-            if isinstance(value, Fraction) and value == 0:
+            if value < MASS_EPS:
                 continue
             merged[elem] = merged.get(elem, 0) + value
         self.masses = ordered(merged)
@@ -187,12 +185,6 @@ class Bba:
     def __repr__(self):
         inner = ", ".join(f"{k}: {float(v):.6f}" for k, v in self.masses.items())
         return f"Bba({{{inner}}})"
-
-
-def accumulate(sums, key, mass):
-    """Add ``mass`` to ``sums[key]``; a key's first mass is stored as it is, not added to a zero."""
-    prev = sums.get(key)
-    sums[key] = mass if prev is None else prev + mass
 
 
 def validate_bba(b):

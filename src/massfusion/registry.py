@@ -14,7 +14,7 @@ from .rules_classic import (
     wao,
     yager,
 )
-from .rules_core import _finish, conjunctive, disjunctive
+from .rules_core import _finish, _merged, conjunctive, disjunctive
 from .rules_minc import VERSION_A, VERSION_B, minc
 from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi
 
@@ -43,7 +43,7 @@ VARIANTS = {
 def _run_conjunctive(matrix, model, opts, diag):
     raw = conjunctive(matrix, model)
     nonempty, conflicts, _ = raw.numerators()
-    return _finish(model, {}, ints=({**nonempty, **conflicts}, raw.den))
+    return _finish(model, {}, ints=(_merged(model, {**nonempty, **conflicts}), raw.den))
 
 
 def _run_pcr5(matrix, model, opts, diag):

@@ -29,7 +29,7 @@ from ._transfer import add, redistribute
 from .bba import Bba, _concat
 from .errors import MassOnEmptyError, NotNormalizedError, TotalConflictError
 from .kernels import union_canon
-from .rules_core import _finish, _fold, _named, conjunctive
+from .rules_core import _finish, _fold, _merged, _named, conjunctive
 from .rules_pcr import pcr1
 
 
@@ -52,8 +52,8 @@ def smets(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
-    nonempty = dict(nonempty)
-    add(nonempty, model.frame.empty_element(), k)
+    if k:  # ∅ is never among the non-empty masses
+        nonempty = _merged(model, {**nonempty, model.frame.empty_element(): k})
     return _finish(model, {}, ints=(nonempty, raw.den))
 
 
@@ -62,7 +62,7 @@ def yager(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
-    units = [("total-conflict", Fraction(k, raw.den), [], 0)] if k else []
+    units = [("total-conflict", (k, raw.den), [], 0)] if k else []
     return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
 
@@ -78,7 +78,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     if matrix.s == 1:  # no product: the source under the model, each empty focal element kept apart
         pairs, den = matrix.sources[0].numerators()
-        return _finish(model, {}, ints=(dict(pairs), den))
+        return _finish(model, {}, ints=(_merged(model, dict(pairs)), den))
     key, _, _, _, live = model.keying()
     ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
     top = live(key(ignorance))
@@ -91,7 +91,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
-    return _finish(model, {}, ints=(_named(entries, model.frame), den))
+    return _finish(model, {}, ints=(_merged(model, _named(entries, model.frame)), den))
 
 
 def _all_empty_products(matrix, model):
@@ -136,8 +136,8 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     rest, units = dict(conflicts), []
     for conflict, mask, v in _all_empty_products(matrix, model) if k else ():
         rest[conflict] -= v
-        units.append((conflict, Fraction(v, raw.den), [], mask))
-    units += [(conflict, Fraction(v, raw.den), [], conflict.labels_mask()) for conflict, v in rest.items() if v]
+        units.append((conflict, (v, raw.den), [], mask))
+    units += [(conflict, (v, raw.den), [], conflict.labels_mask()) for conflict, v in rest.items() if v]
     out = redistribute(model, {}, units, diag)
     if diag is not None and out.get(model.frame.empty_element()):
         diag.notes.append("degenerate problem: all elements empty")
@@ -163,9 +163,9 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
         raise NotNormalizedError(float(total))
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
-    out, k = {}, Fraction(k, raw.den)
+    out = {}
     for elem, w in wnorm.items():
-        add(out, elem, w * k)
+        add(out, elem, w.numerator * k, w.denominator * raw.den)
     return _finish(model, out, ints=(nonempty, raw.den))
 
 
@@ -191,18 +191,17 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
     model = model or matrix.model
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
-    out, k = {}, Fraction(k, raw.den)
-    dropped = Fraction(0)
+    out, dropped = {}, 0
     if k:
-        denom = Fraction(matrix.s)
-        for elem, c in matrix.column_sums(model).items():
-            share = k * c / denom
+        columns, cden = matrix.column_numerators(model)
+        q = raw.den * cden * matrix.s  # each share is k/den * c/cden / s
+        for elem, c in columns.items():
             if elem.empty:
-                dropped += share
+                dropped += k * c
                 continue
-            add(out, elem, share)
+            add(out, elem, k * c, q)
             if diag is not None:
-                diag.record("total-conflict", elem, share, denom)
+                diag.record("total-conflict", elem, Fraction(k * c, q), Fraction(matrix.s))
     if diag is not None and dropped:
-        diag.sum_deficit = float(dropped)
+        diag.sum_deficit = dropped / q
     return _finish(model, out, ints=(nonempty, raw.den))

@@ -6,12 +6,13 @@ element (the equivalence-based reallocation), then proportional
 redistribution of the remaining partial conflicts.  The second stage is the
 consensus's model view (:meth:`RawConjunctive.numerators`), which merges
 every non-empty entry onto its reduced form and keeps each partial conflict
-apart; a destination's mass becomes a ``Fraction`` weight only when read.  Version a spreads a
-conflict over the unions of subsets of its components; version b over every
-non-empty power-set element under its disjunctive form.
+apart; a destination's weight is its integer numerator there, over the
+consensus's denominator.  Version a spreads a conflict over the unions of
+subsets of its components; version b over every non-empty power-set
+element under its disjunctive form.
 
 Each partial conflict is one :func:`_transfer.redistribute` unit
-``(conflict, mass, weightings, conflict.labels_mask())`` with two
+``(conflict, mass, weightings, conflict.labels_mask())`` with two integer
 weightings, the destinations' masses, then the components' column sums (a
 ``"column-sums"`` fallback); when both are empty the fallback chain starts
 at the conflict's disjunctive form, then the total ignorance.  Version a
@@ -20,8 +21,6 @@ each once (:meth:`Model.disjunctive`).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .bba import Bba
 from .rules_pcr import _partial_conflicts
@@ -59,7 +58,8 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
 
     def unit(model, conflict, comps, by_columns, nonempty, den):
         dests = destinations(model, conflict, comps, nonempty)
-        return [(None, [(d, Fraction(nonempty[d], den)) for d in dests if nonempty.get(d)]),
-                ("column-sums", sorted(by_columns))]
+        columns, cden = by_columns
+        return [(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)], den),
+                ("column-sums", sorted(columns), cden)]
 
     return _partial_conflicts(matrix, model or matrix.model, diag, unit)

@@ -16,18 +16,20 @@ factors it is spread over, whose disjunctive form
 (:meth:`Model.disjunctive`) heads the fallback chain taken when every
 weighting is empty (then the total ignorance, then θ0 or ∅).
 
-Arithmetic is exact rational throughout, which makes the results
-independent of source order and lets the convergence behaviour of PCR5 be
-checked symbolically.  PCR1-PCR4 hand the consensus's non-empty masses to
-:func:`rules_core._finish` as integer numerators and build ``Fraction``
-weights only for the columns or components a unit reads; PCR5 hands over
-its full exact map.
+Arithmetic is exact and in integers, which makes the results independent
+of source order and lets the convergence behaviour of PCR5 be checked
+symbolically.  Every rule hands the consensus's non-empty masses to
+:func:`rules_core._finish` as integer numerators; a unit's mass is a
+numerator over the consensus's denominator, its weights are the integer
+column sums (:meth:`MassMatrix.column_numerators`), the consensus's
+numerators, or a PCR5 term's pooled factor masses scaled to integers, and
+each share it makes is a pair of ints (:mod:`_transfer`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import or_
 
 from ._transfer import redistribute
@@ -46,11 +48,11 @@ def _total_conflict(matrix, model, diag, involved_only):
     nonempty, _, k = raw.numerators()
     units = []
     if k:
-        sums = matrix.column_sums(model)
+        sums, cden = matrix.column_numerators(model)
         spread = sorted(involved(model, matrix.sources)) if involved_only else list(sums)
-        cols = [(e, sums.get(e, Fraction(0))) for e in dict.fromkeys(model.reduce(e) for e in spread)]
+        cols = [(e, sums.get(e, 0)) for e in dict.fromkeys(model.reduce(e) for e in spread)]
         weighted = [(e, c) for e, c in cols if not e.empty and c > 0]
-        units.append(("total-conflict", Fraction(k, raw.den), [(None, weighted)],
+        units.append(("total-conflict", (k, raw.den), [(None, weighted, cden)],
                       reduce(or_, (e.labels_mask() for e in spread), 0)))
     return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
@@ -82,11 +84,11 @@ def _partial_conflicts(matrix, model, diag, unit):
     kept once: under dynamic constraints two clauses can collapse to one
     element, and counting it twice would skew the proportional split.
     ``unit(model, conflict, components, by_columns, nonempty, den)`` gives
-    the conflict's weightings from its components, their column-sum
-    weighting and the consensus's non-empty masses, as integer numerators
-    over ``den``.  The fallback chain starts at the conflict's labels, whose
-    disjunctive form is that of its components.  With no partial conflict,
-    no column sum is read.
+    the conflict's weightings from its components, their column sums
+    ``by_columns = (weighted, column_den)`` and the consensus's non-empty
+    masses, integer numerators over ``den``.  The fallback chain starts at
+    the conflict's labels, whose disjunctive form is that of its
+    components.  With no partial conflict, no column sum is read.
     """
     raw = conjunctive(matrix, model)
     nonempty, conflicts, _ = raw.numerators()
@@ -95,15 +97,15 @@ def _partial_conflicts(matrix, model, diag, unit):
         columns, cden = matrix.column_numerators(model)
         for conflict, v in conflicts.items():
             comps = list(dict.fromkeys(model.disjunctive(c) for c in conflict.clauses))
-            by_columns = [(e, Fraction(columns[e], cden)) for e in comps if not e.empty and columns.get(e)]
-            units.append((conflict, Fraction(v, raw.den), unit(model, conflict, comps, by_columns, nonempty, raw.den),
+            by_columns = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)], cden
+            units.append((conflict, (v, raw.den), unit(model, conflict, comps, by_columns, nonempty, raw.den),
                           conflict.labels_mask()))
     return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
 
 
 def _pcr3_unit(model, conflict, comps, by_columns, nonempty, den):
     """The components' column sums."""
-    return [(None, by_columns)]
+    return [(None, *by_columns)]
 
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
@@ -117,7 +119,7 @@ def _pcr4_unit(model, conflict, comps, by_columns, nonempty, den):
     An empty component never has a conjunctive mass.
     """
     masses = all(nonempty.get(e) for e in comps)
-    return [(None, [(e, Fraction(nonempty[e], den)) for e in comps] if masses else []), ("column-sums", by_columns)]
+    return [(None, [(e, nonempty[e]) for e in comps] if masses else [], den), ("column-sums", *by_columns)]
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:
@@ -141,21 +143,29 @@ def _term_unit(model, term):
     least one of its clauses survives in the canonical form of the
     conflict; factors whose clauses are all absorbed (total or partial
     ignorances covering the rest of the term) contributed nothing to the
-    emptiness and receive nothing.
+    emptiness and receive nothing.  A destination's weight is its pooled
+    numerator times the other destinations' pooled denominators, over the
+    product of them all.
     """
     groups = {}
     for elem, mass in term.factors:
-        groups[elem] = groups.get(elem, Fraction(1)) * mass
+        n, d = groups.get(elem, (1, 1))
+        groups[elem] = n * mass.numerator, d * mass.denominator
     zset = set(term.intersection.clauses)
-    dests = [(elem, weight) for elem, weight in groups.items()
+    dests = [(elem, nd) for elem, nd in groups.items()
              if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
-    return term.factors, term.product, [(None, dests)], reduce(or_, (e.labels_mask() for e in groups), 0)
+    wden = prod(d for _, (_, d) in dests)
+    product = term.product
+    return (term.factors, (product.numerator, product.denominator),
+            [(None, [(elem, n * (wden // d)) for elem, (n, d) in dests], wden)],
+            reduce(or_, (e.labels_mask() for e in groups), 0))
 
 
-def _pcr5(matrix, model, terms, diag):
-    """Rational PCR5 masses: the consensus's non-empty masses plus every term, split within itself."""
-    out = dict(conjunctive(matrix, model).reduced()[0])
-    return redistribute(model, out, (_term_unit(model, term) for term in terms), diag)
+def _pcr5(matrix, model, terms, diag, exact=False):
+    """PCR5's result: the consensus's non-empty masses plus every term, split within itself."""
+    raw = conjunctive(matrix, model)
+    out = redistribute(model, {}, (_term_unit(model, term) for term in terms), diag)
+    return _finish(model, out, exact, (raw.numerators()[0], raw.den))
 
 
 def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
@@ -169,7 +179,7 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     """
     model = model or m1.model
     matrix = MassMatrix((m1, m2))
-    return _finish(model, _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag), exact)
+    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag, exact)
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
@@ -182,7 +192,7 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
     the matrix, and the conflicting terms from its conflict ledger.
     """
     model = model or matrix.model
-    return _finish(model, _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag))
+    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag)
 
 
 def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
@@ -210,4 +220,4 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     sources = [matrix.sources[i - 1] for i in order]
     head = conjunctive(MassMatrix(sources[:-1]), model)
     terms = walk_terms(model, [head.masses.items(), sources[-1].fractions().items()])
-    return _finish(model, _pcr5(matrix, model, terms, diag))
+    return _pcr5(matrix, model, terms, diag)

@@ -222,7 +222,8 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
     pairs per source.  Each product term is handled as soon as it is
     formed: a non-empty one adds its product to its reduced intersection,
     a conflicting one is split at once by the package's per-term unit and
-    redistribution loop.
+    redistribution loop, whose int-pair shares are summed as ``Fraction``s
+    under their reduced destinations at the end.
     Returns the rational masses; records and fallbacks go to ``diag`` in
     product order.
     """
@@ -232,7 +233,7 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
     from massfusion.rules_pcr import _term_unit
 
     frame = model.frame
-    out = {}
+    out, shares = {}, {}
     for combo in product(*focal_lists):
         clauses = combo[0][0].clauses
         prod = combo[0][1]
@@ -244,7 +245,10 @@ def pcr5_enumeration_reference(model, focal_lists, diag=None):
             out[red] = out.get(red, Fraction(0)) + prod
         else:
             term = ConflictTerm(tuple(combo), prod, frame.element(clauses, empty=True))
-            redistribute(model, out, [_term_unit(model, term)], diag)
+            redistribute(model, shares, [_term_unit(model, term)], diag)
+    for elem, pairs in shares.items():
+        red = model.reduce(elem)
+        out[red] = out.get(red, Fraction(0)) + sum(Fraction(p, q) for p, q in pairs)
     return {k: out[k] for k in sorted(out)}
 
 

@@ -73,6 +73,9 @@ def test_equivalent_keys_merge(shafer_abc):
 def test_tiny_masses_are_pruned(shafer_ab):
     b = Bba(shafer_ab, {"A": 1.0, "B": 1e-15})
     assert list(b) == [shafer_ab.canonical("A")]
+    tiny = Fraction(1, 10 ** 13)
+    b = Bba(shafer_ab, {"A": tiny, "B": 1 - tiny})
+    assert list(b) == [shafer_ab.canonical("B")]
 
 
 def test_vacuous_assignment(frame_ab, frame_abc):

@@ -1,13 +1,14 @@
 import contextlib
 import gc
 import itertools
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from massfusion import (
     Bba,
@@ -31,7 +32,7 @@ from massfusion import (
     shafer_as_hybrid,
     vacuous_bba,
 )
-from massfusion import bba, lattice, registry, rules_classic, rules_core, rules_pcr
+from massfusion import _transfer, bba, lattice, registry, rules_classic, rules_core, rules_pcr
 from massfusion.lattice import MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 
 from massfusion import dubois_prade, to_fraction
@@ -220,7 +221,12 @@ def dubois_prade_exact(m, model):
 def dubois_prade_reference(m, model):
     """The Fraction fold under the clause-tuple Dubois-Prade combine, merged and sorted under ``model``."""
     folded = fraction_fold_reference(m.fractions(), dubois_prade_combine_reference(model))
-    return _finish(model, {model.frame.element(c): v for c, v in folded.items()}, exact=True)
+    return _finish(model, {model.frame.element(c): [pair(v)] for c, v in folded.items()}, exact=True)
+
+
+def pair(v):
+    """A rational as the int pair ``_finish`` takes as a share."""
+    return v.numerator, v.denominator
 
 
 @given(mixed_denominator_matrices())
@@ -664,11 +670,86 @@ def test_finish_merges_before_pruning_below_1e_12():
     b_too = free.canonical("(B|A)&(B|C)")
     small, tiny = Fraction(6, 10 ** 13), Fraction(4, 10 ** 13)
     out = {a: small, a_too: small, b: tiny, b_too: tiny, c: 1 - 2 * small - 2 * tiny}
-    result = _finish(model, out)
+    result = _finish(model, {elem: [pair(v)] for elem, v in out.items()})
     assert list(result) == [a, c]  # 1.2e-12 on A is kept, 8e-13 on B is pruned
     assert result[a] == float(2 * small)
     with pytest.raises(NegativeMassError):
-        _finish(model, {a: Fraction(-1, 10), c: Fraction(11, 10)})
+        _finish(model, {a: [(-1, 10)], c: [(11, 10)]})
+
+
+HALF = Fraction(1, 2)
+ABOVE_HALF = HALF + Fraction(1, 2 ** 54)  # the midpoint above 0.5, whose even neighbour is 0.5
+
+
+def offsets():
+    """Signed offsets of ``f / (d * 2**e)``: below, on or above the float ``f``'s neighbours."""
+    return st.one_of(st.just(0), st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, 3]), st.integers(0, 400)))
+
+
+def placed(f, offset, midpoint):
+    """The rational ``f`` or its midpoint with the next float up, moved by ``offset``."""
+    target = (Fraction(f) + Fraction(math.nextafter(f, 2))) / 2 if midpoint else Fraction(f)
+    if offset:
+        sign, d, e = offset
+        target += sign * Fraction(f) / (d << e)
+    return target
+
+
+TARGETS = st.one_of(
+    st.builds(placed, st.floats(1e-13, 1, allow_subnormal=False), offsets(), st.just(True)),
+    st.builds(placed, st.floats(0.9e-12, 1.1e-12), offsets(), st.booleans()),
+    st.integers(1, 2 ** 4000).flatmap(lambda den: st.builds(Fraction, st.integers(0, den), st.just(den))),
+)
+
+
+@given(TARGETS, st.lists(st.integers(1, 2 ** 64), min_size=1, max_size=6),
+       st.lists(st.integers(1, 2 ** 3000), min_size=6, max_size=6), st.booleans(),
+       st.sampled_from([None, 0, 8, 60]))
+@example(ABOVE_HALF + Fraction(1, 3 << 200), [1], [1] * 6, False, None)  # one share, just above a midpoint
+@example(ABOVE_HALF, [1, 2], [3] * 6, True, None)  # on a midpoint, every floor inexact
+@settings(max_examples=300, deadline=None)
+def test_finish_reads_out_float_of_the_exact_sum(target, weights, scales, consensus, k):
+    """Split ``target`` into a consensus part and int-pair shares, some of thousands of bits: the read-out is ``float(target)``.
+
+    The parts are ``target * w / sum(weights)``, unreduced, as a
+    proportional split makes them; with ``consensus`` the first is the
+    consensus part ``n/den``.  ``k``, when set, replaces ``_transfer.K``:
+    small ones make most reads fall back to the exact sum.
+    """
+    frame = Frame(["A", "B"])
+    model = Model(frame, SHAFER)
+    a = model.canonical("A")
+    total = sum(weights)
+    parts = [(target.numerator * w * m, target.denominator * total * m) for w, m in zip(weights, scales)]
+    (n, den), shares = (parts[0], parts[1:]) if consensus else ((0, scales[0]), parts)
+    with patch.object(_transfer, "K", _transfer.K if k is None else k):
+        result = _finish(model, {a: shares} if shares else {}, ints=({a: n}, den))
+        assert _finish(model, {a: shares} if shares else {}, True, ({a: n}, den)) == {a: target}
+    want = float(target)
+    assert dict(result.items()) == ({a: want} if want >= 1e-12 else {})
+
+
+@pytest.mark.parametrize("k", [None, 8])
+def test_finish_falls_back_to_the_exact_sum_where_the_fixed_point_sum_straddles_a_rounding(k):
+    """One share just above a midpoint whose even neighbour is below it: the floored sum is the midpoint.
+
+    So the fixed-point sum alone would round down; the exact sum rounds up.
+    With the default ``K`` or a small one, the read-out must sum exactly.
+    """
+    frame = Frame(["A", "B"])
+    model = Model(frame, SHAFER)
+    a = model.canonical("A")
+    target = ABOVE_HALF + Fraction(1, 3 << 200)
+    exact, calls = _transfer.exact, []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    with patch.object(_transfer, "exact", counted), patch.object(_transfer, "K", k or _transfer.K):
+        result = _finish(model, {a: [(target.numerator, target.denominator)]})
+    assert result[a] == float(target) == math.nextafter(0.5, 1)
+    assert len(calls) == 1
 
 
 def is_dyadic(q):
@@ -787,9 +868,9 @@ def dsm_hybrid_per_term(m, model, diag):
         elements = [e for e, _ in factors]
         if not all(model.reduce(e).empty for e in elements):
             elements = [intersection]
-        units.append((intersection, product, [], reduce(or_, (e.labels_mask() for e in elements))))
+        units.append((intersection, pair(product), [], reduce(or_, (e.labels_mask() for e in elements))))
     nonempty = reduced_reference(m, model)[0]
-    return _finish(model, redistribute(model, dict(nonempty), units, diag), exact=True)
+    return _finish(model, redistribute(model, {e: [pair(v)] for e, v in nonempty.items()}, units, diag), exact=True)
 
 
 def fallback_sums(diag):

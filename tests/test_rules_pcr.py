@@ -30,6 +30,7 @@ from massfusion import (
     wao,
 )
 from massfusion import rules_pcr
+from massfusion.rules_core import _finish
 
 from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
 from oracles import pcr5_enumeration_reference, pcr5_reference
@@ -331,8 +332,8 @@ def test_pcr5_entry_points_match_the_enumeration_reference(m, data):
               [sorted(src.fractions().items()) for src in m.sources]),
              (lambda d: pcr5_approximate(m, order=order, diag=d),
               [list(head.masses.items()), sorted(ordered[-1].fractions().items())])]
-    # the entry points' rational masses, before the float conversion
-    with patch.object(rules_pcr, "_finish", lambda model, out, exact=False: out):
+    # the entry points' rational masses: the exact read-out, not the float one
+    with patch.object(rules_pcr, "_finish", lambda model, out, exact=False, ints=None: _finish(model, out, True, ints)):
         for rule, focal_lists in cases:
             got, want = Diagnostics(), Diagnostics()
             assert rule(got) == pcr5_enumeration_reference(m.model, focal_lists, want)
