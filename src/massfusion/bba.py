@@ -41,7 +41,7 @@ from types import MappingProxyType
 
 from .errors import BeliefFusionError, MassOnEmptyError, NegativeMassError, NotNormalizedError
 from .kernels import absorb_masks
-from .lattice import OPEN, CanonicalElement, ordered
+from .lattice import OPEN, ordered
 
 MASS_EPS = 1e-12
 SUM_TOL = 1e-9
@@ -69,13 +69,15 @@ def to_fraction(x):
 class Bba:
     """A (generalized) basic belief assignment over one model.
 
-    Maps canonical elements to masses.  Keys may be given as expression
-    strings or :class:`CanonicalElement` values; they are reduced under the
-    model, merged when equivalent, and masses below ``1e-12`` are pruned.
-    Construction rejects negative, non-numeric (booleans and strings
-    included) and non-finite masses;
-    :func:`validate_bba` additionally enforces normalization and the
-    empty-mass discipline.
+    Maps canonical elements to masses.  Keys, on construction and on
+    lookup, are read by :meth:`Model.canonical`: expression strings, the
+    names ``θ0`` and ``∅`` as elements print them, or
+    :class:`CanonicalElement` values, reduced under the model.  Keys are
+    merged when equivalent, and masses below ``1e-12`` are pruned; a key
+    of any other type raises ``TypeError``.  Construction rejects
+    negative, non-numeric (booleans and strings included) and non-finite
+    masses; :func:`validate_bba` additionally enforces normalization, the
+    empty-mass discipline and θ0's need of a model that enables it.
     """
 
     __slots__ = ("model", "masses", "_fractions", "_exact", "_numerators")
@@ -84,12 +86,10 @@ class Bba:
         self.model = model
         merged = {}
         for key, value in (masses.items() if hasattr(masses, "items") else masses):
-            if isinstance(key, str):
+            try:
                 elem = model.canonical(key)
-            elif isinstance(key, CanonicalElement):
-                elem = model.reduce(key)
-            else:
-                raise TypeError(f"bad mass key {key!r}")
+            except TypeError:
+                raise TypeError(f"bad mass key {key!r}") from None
             if not isinstance(value, Fraction):
                 try:
                     if isinstance(value, (bool, str)):  # float() would take True and "0.5"
@@ -158,11 +158,7 @@ class Bba:
         return sum(self.masses.values())
 
     def __getitem__(self, key):
-        if isinstance(key, str):
-            key = self.model.canonical(key)
-        elif isinstance(key, CanonicalElement):
-            key = self.model.reduce(key)
-        return self.masses.get(key, 0.0)
+        return self.masses.get(self.model.canonical(key), 0.0)
 
     def __iter__(self):
         return iter(self.masses)
@@ -191,14 +187,17 @@ def validate_bba(b):
     """Check the defining invariants and return the assignment unchanged.
 
     Raises ``NotNormalizedError`` when masses do not sum to one within 1e-9,
-    ``NegativeMassError`` on any negative mass, and ``MassOnEmptyError``
+    ``NegativeMassError`` on any negative mass, ``MassOnEmptyError``
     when mass sits on an empty element (in an open world only the classical
-    empty set may carry mass).
+    empty set may carry mass), and ``BeliefFusionError`` on mass on θ0
+    under a model that does not enable it.
     """
     total = b.total()
     for elem, value in b.items():
         if value < 0:
             raise NegativeMassError(elem, value)
+        if elem.is_theta0 and not b.model.theta0_enabled:
+            raise BeliefFusionError("mass on 'θ0' needs a model with theta0 enabled")
         if value > 0 and b.model.reduce(elem).empty:
             if not (b.model.world == OPEN and elem.is_classical_empty):
                 raise MassOnEmptyError(elem)
@@ -215,7 +214,7 @@ def vacuous_bba(model):
 class MassMatrix:
     """An ordered stack of assignments sharing one frame and model."""
 
-    __slots__ = ("sources", "model", "_columns", "_consensus", "_ledgers")
+    __slots__ = ("sources", "model", "_columns", "_consensus")
 
     def __init__(self, sources):
         sources = tuple(sources)
@@ -227,8 +226,9 @@ class MassMatrix:
                 raise ValueError("all sources must share one frame and model")
         self.sources = sources
         self.model = model
-        # per model: column sums, RawConjunctive, ConflictLedger, shared by every rule
-        self._columns, self._consensus, self._ledgers = {}, {}, {}
+        # per model: column sums and RawConjunctive, shared by every rule; PCR5
+        # alone reads the conflict ledger, once per run, so it is not kept
+        self._columns, self._consensus = {}, {}
 
     @property
     def s(self):
@@ -496,12 +496,9 @@ def conflict_ledger(matrix, model=None):
     """Every product of source focal elements whose intersection is empty, for PCR5.
 
     The terms come from one :func:`walk_terms` pass, made only when the
-    matrix's conjunctive consensus has conflict.  The ledger is kept on the
-    matrix per model.
+    matrix's conjunctive consensus has conflict.
     """
     model = model or matrix.model
-    if model not in matrix._ledgers:
-        k = conjunctive(matrix, model).numerators()[2]
-        terms = walk_terms(model, [src.fractions().items() for src in matrix.sources]) if k else ()
-        matrix._ledgers[model] = ConflictLedger(tuple(terms))
-    return matrix._ledgers[model]
+    if not conjunctive(matrix, model).numerators()[2]:
+        return ConflictLedger(())
+    return ConflictLedger(tuple(walk_terms(model, [src.fractions().items() for src in matrix.sources])))

@@ -124,16 +124,16 @@ def _tables(doc, key, path):
 def _bbas(doc, key, model, where, path):
     """The mass tables under ``key`` as validated assignments; a bad one is named by ``where`` and its number.
 
-    A key that is exactly ``θ0`` or ``∅``, as the machine format writes
-    them, reads as that element; ``θ0`` only under a model that enables it.
+    Each table goes to :class:`Bba` as it is, so its keys read as the
+    library reads them (:meth:`Model.canonical`): a key that is exactly
+    ``θ0`` or ``∅``, as the machine format writes them, is that element,
+    and :func:`validate_bba` refuses mass on ``θ0`` under a model that does
+    not enable it.
     """
-    special = {"θ0": model.frame.theta0(), "∅": model.frame.empty_element()}
     bbas = []
     for i, table in enumerate(_tables(doc, key, path)):
         try:
-            if "θ0" in table and not model.theta0_enabled:
-                raise ScenarioError("mass on 'θ0' needs a model with theta0 enabled")
-            bbas.append(validate_bba(Bba(model, {special.get(k, k): v for k, v in table.items()})))
+            bbas.append(validate_bba(Bba(model, table)))
         except BeliefFusionError as exc:
             raise ScenarioError(f"{path}: {where} {i + 1}: {exc}") from exc
     return bbas
@@ -151,70 +151,83 @@ def _constraints(frame, texts, where, path):
 
 
 def scenario_from_dict(doc, path="<scenario>", overrides=None):
+    """Build a :class:`Scenario` from a parsed document.
+
+    ``overrides`` (the CLI's flags) replace the document's ``rules`` and
+    ``options`` fields, but only after those fields are checked as written,
+    so a flag never hides a malformed field.
+    """
     overrides = overrides or {}
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario must be a JSON object")
+    if "frame" not in doc:
+        raise ScenarioError(f"{path}: missing field 'frame'")
     try:
-        if "frame" not in doc:
-            raise ScenarioError(f"{path}: missing field 'frame'")
+        frame = Frame(_strings(doc, "frame", path))
+    except CapacityError as exc:
+        raise ScenarioError(f"{path}: frame: {exc}") from None
+    mspec = _object(doc, "model", path)
+    theta0 = mspec.get("theta0", False)
+    if not isinstance(theta0, bool):
+        raise ScenarioError(f"{path}: 'theta0' must be true or false")
+    try:
+        model = Model(
+            frame,
+            mspec.get("kind", SHAFER),
+            _constraints(frame, _strings(mspec, "empty", path), "model.empty", path),
+            world=mspec.get("world", CLOSED),
+            theta0=theta0,
+        )
+    except (ValueError, CapacityError) as exc:
+        raise ScenarioError(f"{path}: model: {exc}") from None
+    dynamic = _constraints(frame, _strings(doc, "dynamic_empty", path), "dynamic_empty", path)
+    if dynamic:
         try:
-            frame = Frame(_strings(doc, "frame", path))
-        except CapacityError as exc:
-            raise ScenarioError(f"{path}: frame: {exc}") from None
-        mspec = _object(doc, "model", path)
-        theta0 = mspec.get("theta0", False)
-        if not isinstance(theta0, bool):
-            raise ScenarioError(f"{path}: 'theta0' must be true or false")
-        try:
-            model = Model(
-                frame,
-                mspec.get("kind", SHAFER),
-                _constraints(frame, _strings(mspec, "empty", path), "model.empty", path),
-                world=mspec.get("world", CLOSED),
-                theta0=theta0,
+            base = shafer_as_hybrid(frame) if model.kind == SHAFER else model
+            fusion_model = Model(
+                frame, HYBRID, base.constraints + tuple(dynamic),
+                world=model.world, theta0=model.theta0_enabled,
             )
-        except (ValueError, CapacityError) as exc:
-            raise ScenarioError(f"{path}: model: {exc}") from None
-        dynamic = _constraints(frame, _strings(doc, "dynamic_empty", path), "dynamic_empty", path)
-        if dynamic:
-            try:
-                base = shafer_as_hybrid(frame) if model.kind == SHAFER else model
-                fusion_model = Model(
-                    frame, HYBRID, base.constraints + tuple(dynamic),
-                    world=model.world, theta0=model.theta0_enabled,
-                )
-            except CapacityError as exc:
-                raise ScenarioError(
-                    f"{path}: dynamic_empty needs a frame of at most {MAX_HYPER_LABELS} labels: {exc}"
-                ) from None
-        else:
-            fusion_model = model
-        sources = _bbas(doc, "sources", model, "source", path)
-        if not sources:
-            raise ScenarioError(f"{path}: no sources")
-        stream = _bbas(doc, "stream", model, "stream entry", path)
-        # a rule named twice runs once, where it is first named
-        rules = list(dict.fromkeys(overrides.get("rules") or _strings(doc, "rules", path) or RULE_ORDER))
-        for r in rules:
-            if r not in RULE_ORDER:
-                raise ScenarioError(f"{path}: unknown rule {r!r}")
-        ospec = dict(_object(doc, "options", path))
-        ospec.update({k: v for k, v in overrides.items() if k != "rules" and v is not None})
-        order = ospec.get("order")
-        n = len(sources)
-        if order is not None and not (isinstance(order, list) and all(type(i) is int for i in order)
-                                      and sorted(order) == list(range(1, n + 1))):
-            raise ScenarioError(f"{path}: order must be a permutation of 1..{n}")
-        variants = {}
-        for option, (field, allowed) in VARIANTS.items():
-            if option in ospec:
-                if ospec[option] not in allowed:
-                    raise ScenarioError(f"{path}: {option} must be {' or '.join(map(repr, allowed))}")
-                variants[field] = ospec[option]
-        options = RuleOptions(order=tuple(order) if order else None, **variants)
-        return Scenario(frame, model, fusion_model, sources, stream, rules, options, path)
-    except KeyError as exc:
-        raise ScenarioError(f"{path}: missing field {exc}") from None
+        except CapacityError as exc:
+            raise ScenarioError(
+                f"{path}: dynamic_empty needs a frame of at most {MAX_HYPER_LABELS} labels: {exc}"
+            ) from None
+    else:
+        fusion_model = model
+    sources = _bbas(doc, "sources", model, "source", path)
+    if not sources:
+        raise ScenarioError(f"{path}: no sources")
+    stream = _bbas(doc, "stream", model, "stream entry", path)
+    named, ospec, n = _strings(doc, "rules", path), _object(doc, "options", path), len(sources)
+    # the file's own fields are checked as written first, so a flag cannot hide a malformed one
+    _rules(named, path)
+    _options(ospec, n, path)
+    rules = _rules(overrides.get("rules") or named or RULE_ORDER, path)
+    options = _options({**ospec, **{k: v for k, v in overrides.items() if k != "rules" and v is not None}}, n, path)
+    return Scenario(frame, model, fusion_model, sources, stream, rules, options, path)
+
+
+def _rules(names, path):
+    """The rules to run, each once, where it is first named."""
+    for r in names:
+        if r not in RULE_ORDER:
+            raise ScenarioError(f"{path}: unknown rule {r!r}")
+    return list(dict.fromkeys(names))
+
+
+def _options(spec, n, path):
+    """The :class:`RuleOptions` of an ``options`` object, for ``n`` sources."""
+    order = spec.get("order")
+    if order is not None and not (isinstance(order, list) and all(type(i) is int for i in order)
+                                  and sorted(order) == list(range(1, n + 1))):
+        raise ScenarioError(f"{path}: order must be a permutation of 1..{n}")
+    variants = {}
+    for option, (field, allowed) in VARIANTS.items():
+        if option in spec:
+            if spec[option] not in allowed:
+                raise ScenarioError(f"{path}: {option} must be {' or '.join(map(repr, allowed))}")
+            variants[field] = spec[option]
+    return RuleOptions(order=tuple(order) if order else None, **variants)
 
 
 def _execute(name, matrix, scenario):

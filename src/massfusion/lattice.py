@@ -46,7 +46,7 @@ MAX_HYPER_LABELS = 6
 # the parser's tokens are the operators and the runs of this one pattern.
 _LABEL = re.compile(r"[^\s|&()]+")
 _TOKEN = re.compile(r"[|&()]|" + _LABEL.pattern)
-# the names under which θ0 and ∅ print
+# the names under which θ0 and ∅ print, which only Model.canonical reads
 _RESERVED = ("∅", "θ0")
 
 
@@ -362,7 +362,14 @@ class Model:
         raise TypeError(f"not a set expression: {spec!r}")
 
     def canonical(self, spec):
-        """Parse/normalize ``spec`` and reduce it under this model."""
+        """Parse/normalize ``spec`` and reduce it under this model.
+
+        The whole text ``θ0`` or ``∅`` reads as the element that prints
+        under that name, so every element's ``str`` reads back; inside an
+        expression neither name parses.
+        """
+        if spec in _RESERVED:
+            spec = self.frame.theta0() if spec == "θ0" else self.frame.empty_element()
         return self.reduce(self._free_element(spec))
 
     def reduce(self, element):

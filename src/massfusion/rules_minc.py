@@ -11,13 +11,13 @@ consensus's denominator.  Version a spreads a conflict over the unions of
 subsets of its components; version b over every non-empty power-set
 element under its disjunctive form.
 
-Each partial conflict is one :func:`_transfer.redistribute` unit
-``(conflict, mass, weightings, conflict.labels_mask())`` with two integer
-weightings, the destinations' masses, then the components' column sums (a
-``"column-sums"`` fallback); when both are empty the fallback chain starts
-at the conflict's disjunctive form, then the total ignorance.  Version a
-builds its unions as label masks, at most 2^n distinct ones, and reduces
-each once (:meth:`Model.disjunctive`).
+A version only names its destinations (:func:`_destinations_a`,
+:func:`_destinations_b`); :func:`rules_pcr._partial_conflicts`, shared with
+PCR3 and PCR4, builds the weightings: the destinations' masses, then the
+components' column sums (a ``"column-sums"`` fallback); when both are
+empty the fallback chain starts at the conflict's disjunctive form, then
+the total ignorance.  Version a builds its unions as label masks, at most
+2^n distinct ones, and reduces each once (:meth:`Model.disjunctive`).
 """
 
 from __future__ import annotations
@@ -55,11 +55,4 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
     if version not in (VERSION_A, VERSION_B):
         raise ValueError(f"unknown minC version {version!r}")
     destinations = _destinations_a if version == VERSION_A else _destinations_b
-
-    def unit(model, conflict, comps, by_columns, nonempty, den):
-        dests = destinations(model, conflict, comps, nonempty)
-        columns, cden = by_columns
-        return [(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)], den),
-                ("column-sums", sorted(columns), cden)]
-
-    return _partial_conflicts(matrix, model or matrix.model, diag, unit)
+    return _partial_conflicts(matrix, model or matrix.model, diag, destinations)

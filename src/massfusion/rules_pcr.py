@@ -10,11 +10,15 @@ conflicting terms of the matrix's conflict ledger, the only rule that walks
 the product terms).
 Each rule only lists its conflict units for :func:`_transfer.redistribute`:
 ``(source, mass, weightings, mask)``, where ``weightings`` holds the
-rule's proportional weights (and, for PCR4, column sums as a named second
-weighting) and ``mask`` the labels of the conflict, or of the columns or
-factors it is spread over, whose disjunctive form
+rule's proportional weights and ``mask`` the labels of the conflict, or of
+the columns or factors it is spread over, whose disjunctive form
 (:meth:`Model.disjunctive`) heads the fallback chain taken when every
-weighting is empty (then the total ignorance, then θ0 or ∅).
+weighting is empty (then the total ignorance, then θ0 or ∅).  PCR3, PCR4
+and minC share one builder of those weightings,
+:func:`_partial_conflicts`, and differ only in the destinations they name:
+PCR3 names none and splits over column sums; PCR4 names the components
+and minC (:mod:`rules_minc`) its own destinations, split by conjunctive
+mass with column sums as a named second weighting.
 
 Arithmetic is exact and in integers, which makes the results independent
 of source order and lets the convergence behaviour of PCR5 be checked
@@ -77,18 +81,21 @@ def pcr2(matrix, model=None, diag=None) -> Bba:
     return _total_conflict(matrix, model or matrix.model, diag, involved_only=True)
 
 
-def _partial_conflicts(matrix, model, diag, unit):
+def _partial_conflicts(matrix, model, diag, destinations=None):
     """PCR3, PCR4 and minC: one unit per partial conflict.
 
     A conflict's components are the disjunctive forms of its clauses, each
     kept once: under dynamic constraints two clauses can collapse to one
-    element, and counting it twice would skew the proportional split.
-    ``unit(model, conflict, components, by_columns, nonempty, den)`` gives
-    the conflict's weightings from its components, their column sums
-    ``by_columns = (weighted, column_den)`` and the consensus's non-empty
-    masses, integer numerators over ``den``.  The fallback chain starts at
-    the conflict's labels, whose disjunctive form is that of its
-    components.  With no partial conflict, no column sum is read.
+    element, and counting it twice would skew the proportional split.  The
+    rules differ only in the destinations they name.
+    ``destinations(model, conflict, components, nonempty)`` names the
+    elements that share the conflict by their conjunctive masses, integer
+    numerators over the consensus's ``den``; those without mass get
+    nothing, and when none has mass the components' column sums take over
+    as a ``"column-sums"`` fallback.  Without ``destinations`` (PCR3) the
+    column sums are the split itself and record no fallback.  The fallback
+    chain starts at the conflict's labels, whose disjunctive form is that
+    of its components.  With no partial conflict, no column sum is read.
     """
     raw = conjunctive(matrix, model)
     nonempty, conflicts, _ = raw.numerators()
@@ -97,29 +104,22 @@ def _partial_conflicts(matrix, model, diag, unit):
         columns, cden = matrix.column_numerators(model)
         for conflict, v in conflicts.items():
             comps = list(dict.fromkeys(model.disjunctive(c) for c in conflict.clauses))
-            by_columns = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)], cden
-            units.append((conflict, (v, raw.den), unit(model, conflict, comps, by_columns, nonempty, raw.den),
-                          conflict.labels_mask()))
+            by_columns = [(e, columns[e]) for e in comps if not e.empty and columns.get(e)]
+            dests = destinations(model, conflict, comps, nonempty) if destinations else ()
+            weightings = [(None, [(d, nonempty[d]) for d in dests if nonempty.get(d)], raw.den),
+                          ("column-sums" if destinations else None, by_columns, cden)]
+            units.append((conflict, (v, raw.den), weightings, conflict.labels_mask()))
     return _finish(model, redistribute(model, {}, units, diag), ints=(nonempty, raw.den))
-
-
-def _pcr3_unit(model, conflict, comps, by_columns, nonempty, den):
-    """The components' column sums."""
-    return [(None, *by_columns)]
 
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
     """PCR3: each partial conflict over its components' column sums."""
-    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr3_unit)
+    return _partial_conflicts(matrix, model or matrix.model, diag)
 
 
-def _pcr4_unit(model, conflict, comps, by_columns, nonempty, den):
-    """Conjunctive masses when every component has one, else column sums.
-
-    An empty component never has a conjunctive mass.
-    """
-    masses = all(nonempty.get(e) for e in comps)
-    return [(None, [(e, nonempty[e]) for e in comps] if masses else [], den), ("column-sums", *by_columns)]
+def _pcr4_destinations(model, conflict, components, nonempty):
+    """PCR4's destinations: the components, when every one has conjunctive mass (an empty one never has)."""
+    return components if all(nonempty.get(e) for e in components) else ()
 
 
 def pcr4(matrix, model=None, diag=None) -> Bba:
@@ -129,7 +129,7 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
     back to column sums, then to the partial ignorance of the components
     (their disjunctive form), then to the total ignorance.
     """
-    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr4_unit)
+    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr4_destinations)
 
 
 # --- PCR5 ------------------------------------------------------------------

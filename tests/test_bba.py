@@ -64,6 +64,18 @@ def test_open_world_allows_only_the_classical_empty_set(frame_ab):
         validate_bba(Bba(open_model, {"A&B": 0.2, "A": 0.8}))
 
 
+def test_theta0_and_the_empty_set_read_by_name(frame_ab):
+    """``θ0`` and ``∅`` are keys as elements print them; mass on θ0 needs a model that enables it."""
+    b = Bba(Model(frame_ab, SHAFER, world="open"), {"θ0": 0.2, "A": 0.8})
+    with pytest.raises(BeliefFusionError, match="^mass on 'θ0' needs a model with theta0 enabled$"):
+        validate_bba(b)
+    b = validate_bba(Bba(Model(frame_ab, SHAFER, world="open", theta0=True), {"θ0": 0.2, "∅": 0.1, "A": 0.7}))
+    assert b["θ0"] == b[frame_ab.theta0()] == 0.2 and b["∅"] == b[frame_ab.empty_element()] == 0.1
+    assert list(b) == [frame_ab.theta0(), frame_ab.empty_element(), b.model.canonical("A")]
+    with pytest.raises(TypeError):
+        b[1]
+
+
 def test_equivalent_keys_merge(shafer_abc):
     b = Bba(shafer_abc, {"A|(B&C)": 0.3, "A": 0.2, "B": 0.5})
     assert b["A"] == pytest.approx(0.5)

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from massfusion import RULE_ORDER, MassMatrix
-from massfusion.cli import RuleRun, _dump, compare_rules, load_scenario, main, sequential_fusion
+from massfusion import RULE_ORDER, MassMatrix, RuleOptions
+from massfusion.cli import RuleRun, _dump, compare_rules, load_scenario, main, run_scenario, sequential_fusion
 
 ZADEH = {
     "frame": ["A", "B", "C"],
@@ -404,6 +404,24 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, nee
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, flags", [
+    ({"rules": "pcr5"}, ["--rule", "pcr5"]),
+    ({"rules": "pcr5"}, ["--all"]),
+    ({"rules": ["nope"]}, ["--all"]),
+    ({"options": {"minc_version": "c"}}, ["--minc-version", "a"]),
+    ({"options": {"order": [5, 6]}}, ["--order", "2,1"]),
+], ids=["rules-text-with-rule", "rules-text-with-all", "unknown-rule-with-all", "minc-version-with-flag",
+        "order-with-flag"])
+def test_a_flag_does_not_hide_a_malformed_field(tmp_path, capsys, field, flags):
+    """A flag overrides a scenario field only after the field is checked as written."""
+    path = write(tmp_path, dict(ZADEH, **field))
+    assert exit_code([path]) == 2
+    alone = capsys.readouterr().err
+    assert alone.startswith(f"error: {path}: ")
+    assert exit_code([path, *flags]) == 2
+    assert capsys.readouterr().err == alone
+
+
 SEVEN = [chr(ord("A") + i) for i in range(7)]
 
 
@@ -498,6 +516,33 @@ def test_shipped_scenarios_run(path, capsys):
     if "stream" in json.loads(path.read_text(encoding="utf-8")):
         assert main([str(path), "--sequential"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+@pytest.mark.parametrize("options", [RuleOptions(), RuleOptions(minc_version="b", wao_mode="dynamic",
+                                                                pcr5_variant="approx")], ids=["default", "variants"])
+def test_every_result_element_reads_back_from_its_name(path, options):
+    scenario = load_scenario(str(path))
+    report = run_scenario(scenario._replace(rules=list(RULE_ORDER), options=options))
+    for run in report.runs:
+        for e in run.bba or ():
+            assert scenario.fusion_model.canonical(str(e)) == e, (run.name, str(e))
+
+
+def test_machine_format_writes_a_failed_rule_as_its_error(tmp_path, capsys):
+    doc = dict(ZADEH, sources=[{"A": 1.0}, {"B": 1.0}])
+    code, out = run_table(doc, tmp_path, capsys, "--all", "--format", "machine")
+    rules = json.loads(out)["rules"]
+    assert code == 3
+    assert rules["dempster"] == {"error": "total conflict k=1.0, normalization impossible"}
+    assert all("masses" in entry for name, entry in rules.items() if name != "dempster")
+
+
+def test_machine_format_times_every_rule(tmp_path, capsys):
+    code, out = run_table(ZADEH, tmp_path, capsys, "--all", "--timing", "--format", "machine")
+    rules = json.loads(out)["rules"]
+    assert code == 0 and list(rules) == sorted(RULE_ORDER)
+    assert all(isinstance(entry["seconds"], float) and entry["seconds"] >= 0 for entry in rules.values())
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
