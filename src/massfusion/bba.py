@@ -20,16 +20,18 @@ model), the disjunctive and Dubois-Prade folds, and hybrid DSm's fold over
 empty focal elements.  The walk (:func:`walk_terms`) only lists the
 conflicting product terms, for PCR5's :func:`conflict_ledger`, and no
 other rule walks.  PCR2's involved elements (:func:`involved`) come from
-folds of the sources' keys alone, with no masses.  The conjunctive fold
-keeps integer numerators and names no entry: :meth:`RawConjunctive.numerators`
-merges them by what the model leaves alive and names each merged element
-once per model; the free view ``RawConjunctive.masses`` is built only when
-read.  Every product pass takes its keys, intersection, union and
-emptiness test from the model, :meth:`Model.keying`: region sets on frames
-of at most six labels, where ``&`` and ``|`` intersect and unite, clause
-tuples on larger (Shafer) frames.  The model names the products the passes
-read under it, merged groups and conflicts of the consensus and the walk's
-conflicting terms, through :meth:`Model.name`, once per key.
+folds of the sources' keys alone, with no masses.  A fold keeps integer
+numerators and names no entry.  One model view, :func:`_view`, reads the
+entries of the conjunctive and disjunctive folds: it merges them by what
+the model leaves alive and names each merged element once per model.  The
+consensus keeps its view (:meth:`RawConjunctive.numerators`); its free
+view ``RawConjunctive.masses`` is built only when read.  Every product
+pass takes its keys, intersection, union and emptiness test from the
+model, :meth:`Model.keying`: region sets on frames of at most six labels,
+where ``&`` and ``|`` intersect and unite, clause tuples on larger
+(Shafer) frames.  The model names every product the passes read under it,
+merged groups and conflicts of a fold and the walk's conflicting terms,
+through :meth:`Model.name`, once per key.
 """
 
 from __future__ import annotations
@@ -301,13 +303,14 @@ def _fold(views, key, op, clauses_of):
     Returns ``(entries, den)``: ``entries`` maps each key to ``[clauses,
     numerator]``, where ``absorb_masks(clauses)`` names the entry and
     ``Fraction(numerator, den)`` is its mass, the same rational as a fold
-    of fractions (:func:`_named` names the entries), and ``den`` is the
-    product of the sources' denominators.
+    of fractions, and ``den`` is the product of the sources' denominators.
+    No entry is named here: :func:`_view` reads free-keyed entries under a
+    model, and a fold keyed by live keys names them with :meth:`Model.name`.
 
     Keys come from :meth:`Model.keying`.  The conjunctive fold passes ``(key,
     meet, concatenation)``: an entry keeps the concatenated clauses of the
     first product that reaches it, whose absorbed form is their
-    intersection, so no entry is named here.  The disjunctive fold passes
+    intersection.  The disjunctive fold passes
     ``(key, join, rules_core._unite)``, the union of the clauses, which is
     the key itself where keys are clause tuples.
     """
@@ -333,25 +336,45 @@ def _concat(k, ka, ca, kb, cb):
     return ca + cb
 
 
-def _named(entries, frame):
-    """A fold's entries (:func:`_fold`) as elements mapped to their integer numerators."""
-    return {frame.element(absorb_masks(clauses)): v for clauses, v in entries.values()}
-
-
 def _over(numerators, den):
     """Integer numerators over ``den`` as exact rationals."""
     return {elem: Fraction(v, den) for elem, v in numerators.items()}
 
 
+def _view(model, entries):
+    """A fold's entries (:func:`_fold`, keyed by free key) under ``model``: ``(nonempty, conflicts, k)``.
+
+    Integer numerators, both maps keyed by the elements :meth:`Model.reduce`
+    returns, in sorted order; a partial conflict keeps its free canonical
+    form, flagged empty, and ``k`` is their sum.  Entries are merged by
+    their live key (:meth:`Model.keying`), with integer adds; a live key of
+    0 is a conflict.  :meth:`Model.name` names each merged group under its
+    live key and each conflict under its free key, once per model.
+    """
+    live = model.keying()[4]
+    groups, conflicts, k = {}, {}, 0
+    for key, (clauses, v) in entries.items():
+        here = live(key)
+        if not here:
+            conflicts[model.name(key, clauses)] = v
+            k += v
+        elif (group := groups.get(here)) is None:
+            groups[here] = [clauses, v]
+        else:
+            group[1] += v
+    nonempty = {model.name(here, clauses): v for here, (clauses, v) in groups.items()}
+    return ordered(nonempty), ordered(conflicts), k
+
+
 class RawConjunctive:
     """Conjunctive consensus on the free lattice, as integer fold entries over ``den``.
 
-    ``numerators()`` gives the model view in integers: merged non-empty
-    masses, the per-element partial conflicts, and the total conflict.
-    ``reduced()`` is the same view as exact rationals, and ``masses`` the
-    free view: free-canonical clause tuples wrapped as elements, mapped to
-    exact rational masses, empty-intersection entries included, so the
-    total is one.  Both are built on first read.
+    ``numerators()`` gives the model view in integers (:func:`_view`):
+    merged non-empty masses, the per-element partial conflicts, and the
+    total conflict.  ``reduced()`` is the same view as exact rationals, and
+    ``masses`` the free view: each entry's free canonical form, named from
+    its clauses, mapped to its exact rational mass, empty-intersection
+    entries included, so the total is one.  Each is built on first read.
     """
 
     __slots__ = ("model", "den", "_entries", "_masses", "_numerators", "_reduced")
@@ -364,34 +387,15 @@ class RawConjunctive:
     @property
     def masses(self):
         if self._masses is None:
-            self._masses = ordered(_over(_named(self._entries, self.model.frame), self.den))
+            element, den = self.model.frame.element, self.den
+            self._masses = ordered({element(absorb_masks(clauses)): Fraction(v, den)
+                                    for clauses, v in self._entries.values()})
         return self._masses
 
     def numerators(self):
-        """Return ``(nonempty, conflicts, k)`` under the model, as integer numerators over ``den``.
-
-        Both maps are keyed by the elements :meth:`Model.reduce` returns; a
-        partial conflict keeps its free canonical form, flagged empty.
-        Entries are merged by their live key (:meth:`Model.keying`), with
-        integer adds; a live key of 0 is a conflict.  :meth:`Model.name`
-        names each merged group under its live key and each conflict under
-        its free key, once per model.
-        """
+        """Return ``(nonempty, conflicts, k)``: :func:`_view` of the entries, integer numerators over ``den``."""
         if self._numerators is None:
-            model = self.model
-            live = model.keying()[4]
-            groups, conflicts, k = {}, {}, 0
-            for key, (clauses, v) in self._entries.items():
-                here = live(key)
-                if not here:
-                    conflicts[model.name(key, clauses)] = v
-                    k += v
-                elif (group := groups.get(here)) is None:
-                    groups[here] = [clauses, v]
-                else:
-                    group[1] += v
-            nonempty = {model.name(here, clauses): v for here, (clauses, v) in groups.items()}
-            self._numerators = ordered(nonempty), ordered(conflicts), k
+            self._numerators = _view(self.model, self._entries)
         return self._numerators
 
     def reduced(self):

@@ -17,8 +17,11 @@ against the base model, the fusion runs under the constrained one).  The
 rule variants under ``options`` (also the flags ``--minc-version``,
 ``--wao-mode`` and ``--pcr5``) and the values they allow come from
 :data:`registry.VARIANTS`; an absent one keeps its :class:`RuleOptions`
-default.  The frame, the model and each source or stream entry are checked
-by the classes that build them, and an error names the field it came from.
+default.  The fields shown are the only ones read: any other, at the top
+level, in ``model`` or in ``options``, is refused (:data:`_FIELDS`), as
+the file has it, whatever the flags.  The frame, the model and each
+source or stream entry are checked by the classes that build them, and an
+error names the field it came from.
 
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
@@ -44,6 +47,9 @@ COINCIDE_TOL = 1e-9
 # Largest --precision: a float carries about 17 significant digits, and a
 # table cell is as wide as its precision.
 MAX_PRECISION = 100
+# the fields the loader reads, per object; a scenario naming any other is refused
+_FIELDS = {"scenario": ("frame", "model", "sources", "stream", "dynamic_empty", "rules", "options"),
+           "model": ("kind", "empty", "world", "theta0"), "options": ("order", *VARIANTS)}
 
 
 class Scenario(namedtuple("Scenario", "frame model fusion_model sources stream rules options path",
@@ -98,11 +104,19 @@ def load_scenario(path, overrides=None):
 
 
 def _object(doc, key, path):
-    """The JSON object under ``key``, empty when absent."""
+    """The JSON object under ``key``, empty when absent, once its fields are known (:func:`_known`)."""
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: {key!r} must be an object")
-    return value
+    return _known(value, key, path)
+
+
+def _known(obj, where, path):
+    """``obj``, once each of its fields is one the loader reads for ``where`` (:data:`_FIELDS`)."""
+    for field in obj:
+        if field not in _FIELDS[where]:
+            raise ScenarioError(f"{path}: {where}: unknown field {field!r}")
+    return obj
 
 
 def _strings(doc, key, path):
@@ -160,6 +174,7 @@ def scenario_from_dict(doc, path="<scenario>", overrides=None):
     overrides = overrides or {}
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario must be a JSON object")
+    _known(doc, "scenario", path)
     if "frame" not in doc:
         raise ScenarioError(f"{path}: missing field 'frame'")
     try:
@@ -298,11 +313,7 @@ def compare_rules(scenario) -> Report:
 
 
 def _element_columns(runs):
-    elems = set()
-    for run in runs:
-        if run.bba is not None:
-            elems.update(run.bba.keys())
-    return sorted(elems)
+    return sorted({e for run in runs if run.bba is not None for e in run.bba})
 
 
 def _format_table(runs, precision, timing):
@@ -314,16 +325,9 @@ def _format_table(runs, precision, timing):
         name_w = max([len(str(e)) for e in elems] + [7])
         lines.append(" ".join([" " * name_w] + [f"{run.name:>{width}}" for run in runs]))
         for e in elems:
-            cells = []
-            for run in runs:
-                if run.error:
-                    cells.append(f"{'—':>{width}}")
-                else:
-                    cells.append(f"{run.bba[e]:>{width}.{precision}f}")
+            cells = [f"{'—':>{width}}" if run.error else f"{run.bba[e]:>{width}.{precision}f}" for run in runs]
             lines.append(" ".join([f"{str(e):<{name_w}}"] + cells))
-        total_row = []
-        for run in runs:
-            total_row.append(f"{'—':>{width}}" if run.error else f"{run.bba.total():>{width}.{precision}f}")
+        total_row = [f"{'—':>{width}}" if run.error else f"{run.bba.total():>{width}.{precision}f}" for run in runs]
         lines.append(" ".join([f"{'(sum)':<{name_w}}"] + total_row))
     for run in runs:
         if run.error:
@@ -365,16 +369,10 @@ def render_report(report, fmt="table", precision=6, timing=False):
 
 
 def _render_machine(report, precision, timing):
-    names = {}  # element -> its text, once per report: the same elements recur across rules
-
-    def name(e):
-        text = names.get(e)
-        if text is None:
-            text = names[e] = str(e)
-        return text
+    """The report as one JSON document; each element prints under the name it builds once (``str(e)``)."""
 
     def bba_dict(b):
-        return {name(e): round(v, 12) for e, v in b.items()}
+        return {str(e): round(v, 12) for e, v in b.items()}
 
     doc = {"scenario": report.scenario.path, "k": report.k, "rules": {}}
     for run in report.runs:
@@ -390,7 +388,7 @@ def _render_machine(report, precision, timing):
             entry["order"] = list(run.diag.order)
         if run.diag.fallbacks:
             entry["fallbacks"] = [
-                {"stage": f.stage, "destination": name(f.destination), "amount": float(f.amount)}
+                {"stage": f.stage, "destination": str(f.destination), "amount": float(f.amount)}
                 for f in run.diag.fallbacks
             ]
         if timing:

@@ -123,17 +123,19 @@ class CanonicalElement:
     its labels.  ``empty`` records whether the element is empty under the
     model that produced it.  Equality, ordering and hashing are structural
     on the clause tuple only, so the same element compares equal whether or
-    not a model has flagged it.
+    not a model has flagged it.  Its region set and its printed name are
+    each built on first read and kept, so an element the model caches is
+    named once however many results print it.
     """
 
-    __slots__ = ("frame", "clauses", "empty", "_hash", "_regions")
+    __slots__ = ("frame", "clauses", "empty", "_hash", "_regions", "_text")
 
     def __init__(self, frame, clauses, empty=False):
         self.frame = frame
         self.clauses = clauses
         self.empty = empty
         self._hash = hash(clauses)
-        self._regions = None
+        self._regions = self._text = None
 
     @property
     def regions(self):
@@ -167,17 +169,20 @@ class CanonicalElement:
         return self.clauses < other.clauses
 
     def __str__(self):
-        if self.is_theta0:
-            return "θ0"
-        if self.is_classical_empty:
-            return "∅"
-        parts = []
-        for c in self.clauses:
-            s = self.frame.mask_str(c)
-            if len(self.clauses) > 1 and "|" in s:
-                s = f"({s})"
-            parts.append(s)
-        return "&".join(parts)
+        if self._text is None:
+            if self.is_theta0:
+                self._text = "θ0"
+            elif self.is_classical_empty:
+                self._text = "∅"
+            else:
+                parts = []
+                for c in self.clauses:
+                    s = self.frame.mask_str(c)
+                    if len(self.clauses) > 1 and "|" in s:
+                        s = f"({s})"
+                    parts.append(s)
+                self._text = "&".join(parts)
+        return self._text
 
     def __repr__(self):
         flag = ", empty" if self.empty else ""

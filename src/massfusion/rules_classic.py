@@ -18,7 +18,8 @@ factors' labels) pair becomes one unit with that union as its mask; the
 model names each such product once (:meth:`Model.name`).
 Dubois-Prade folds through :func:`bba._fold` too, on the keys the model
 leaves alive (:meth:`Model.keying`), so no product is reduced under the
-model or passed to a clause kernel.
+model or passed to a clause kernel, and the model names each entry under
+its live key (:meth:`Model.name`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from ._transfer import add, redistribute
 from .bba import Bba, _concat
 from .errors import MassOnEmptyError, NotNormalizedError, TotalConflictError
 from .kernels import union_canon
-from .rules_core import _finish, _fold, _merged, _named, conjunctive
+from .lattice import ordered
+from .rules_core import _finish, _fold, conjunctive
 from .rules_pcr import pcr1
 
 
@@ -52,8 +54,8 @@ def smets(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
-    if k:  # ∅ is never among the non-empty masses
-        nonempty = _merged(model, {**nonempty, model.frame.empty_element(): k})
+    if k:  # ∅ is never among the non-empty masses, which are already reduced
+        nonempty = ordered({**nonempty, model.frame.empty_element(): k})
     return _finish(model, {}, ints=(nonempty, raw.den))
 
 
@@ -73,14 +75,20 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     the result order-dependent (the rule is not associative).  The fold
     keys each product by what the model leaves alive of it, its live key
     (:meth:`Model.keying`): the intersection of the factors' live keys when
-    it is non-empty, else their union, else the total ignorance's.
+    it is non-empty, else their union, else the total ignorance's.  So
+    each entry is already merged, and :meth:`Model.name` names it under
+    that key, once per model.  Live key 0 arises only on a model that
+    empties everything, where every product goes to the total ignorance.
+    One source has no product: its result is the consensus's view, as the
+    conjunctive rule reads it, each empty focal element kept apart.
     """
     model = model or matrix.model
-    if matrix.s == 1:  # no product: the source under the model, each empty focal element kept apart
-        pairs, den = matrix.sources[0].numerators()
-        return _finish(model, {}, ints=(_merged(model, dict(pairs)), den))
+    if matrix.s == 1:
+        raw = conjunctive(matrix, model)
+        nonempty, conflicts, _ = raw.numerators()
+        return _finish(model, {}, ints=(ordered({**nonempty, **conflicts}), raw.den))
     key, _, _, _, live = model.keying()
-    ignorance = model.frame.total_ignorance()  # _finish reduces it with every other entry
+    ignorance = model.frame.total_ignorance()
     top = live(key(ignorance))
 
     def clauses_of(k, ka, ca, kb, cb):
@@ -91,7 +99,8 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     if matrix.s > 2 and diag is not None:
         diag.notes.append("pairwise fold in source order; not associative")
         diag.order = tuple(range(1, matrix.s + 1))
-    return _finish(model, {}, ints=(_merged(model, _named(entries, model.frame)), den))
+    named = {model.name(k, clauses) if k else model.total_ignorance(): v for k, (clauses, v) in entries.items()}
+    return _finish(model, {}, ints=(ordered(named), den))
 
 
 def _all_empty_products(matrix, model):

@@ -410,8 +410,9 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, doc, args, nee
     ({"rules": ["nope"]}, ["--all"]),
     ({"options": {"minc_version": "c"}}, ["--minc-version", "a"]),
     ({"options": {"order": [5, 6]}}, ["--order", "2,1"]),
+    ({"options": {"minc_verison": "b"}}, ["--rule", "minc", "--minc-version", "b"]),
 ], ids=["rules-text-with-rule", "rules-text-with-all", "unknown-rule-with-all", "minc-version-with-flag",
-        "order-with-flag"])
+        "order-with-flag", "unknown-option-with-flag"])
 def test_a_flag_does_not_hide_a_malformed_field(tmp_path, capsys, field, flags):
     """A flag overrides a scenario field only after the field is checked as written."""
     path = write(tmp_path, dict(ZADEH, **field))
@@ -464,11 +465,17 @@ SEVEN = [chr(ord("A") + i) for i in range(7)]
           sources=[{"A|θ0": 0.1, "A": 0.9}, {"B": 0.9, "C": 0.1}]), "source 1: unknown label 'θ0' (at offset 2)"),
     (dict(ZADEH, model={"kind": "shafer", "world": "open"}, sources=[{"∅|A": 1.0}, {"B": 1.0}]),
      "source 1: unknown label '∅' (at offset 0)"),
+    # a field the loader does not read is refused, so a misspelt one cannot pass for its default
+    (dict(ZADEH, options={"minc_verison": "b"}), "options: unknown field 'minc_verison'"),
+    (dict(frame=["A", "B"], model={"kind": "hybrid", "constraint": ["A&B"]},
+          sources=[{"A": 0.5, "B": 0.5}, {"A&B": 1}]), "model: unknown field 'constraint'"),
+    (dict(ZADEH, srcs=ZADEH["sources"]), "scenario: unknown field 'srcs'"),
 ], ids=["empty-label", "empty-syntax", "dynamic-label", "dynamic-syntax", "free-seven-labels",
         "dynamic-seven-labels", "repeated-label", "no-break-space-label", "empty-set-label",
         "theta0-label", "no-frame", "unknown-kind", "minc-version", "wao-mode", "pcr5-variant",
         "theta0-key-disabled", "theta0-stream-key-disabled", "empty-set-key-closed-world",
-        "theta0-constraint", "empty-set-dynamic-constraint", "theta0-in-expression", "empty-set-in-expression"])
+        "theta0-constraint", "empty-set-dynamic-constraint", "theta0-in-expression", "empty-set-in-expression",
+        "unknown-option", "unknown-model-field", "unknown-scenario-field"])
 def test_constraint_errors_name_the_scenario_and_the_field(tmp_path, capsys, doc, message):
     path = write(tmp_path, doc)
     assert exit_code([path, "--all"]) == 2

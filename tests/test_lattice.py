@@ -115,6 +115,14 @@ def test_roundtrip_printing(frame_abc):
         assert model.canonical(str(elem)) == elem
 
 
+def test_an_element_builds_its_name_once(frame_abc):
+    model = Model(frame_abc, FREE, theta0=True)
+    for elem in [model.canonical(text) for text in ["A|B", "A&B", "(A|B)&C", "(A|B)&(A|C)"]] + [
+            frame_abc.theta0(), frame_abc.empty_element()]:
+        text = str(elem)
+        assert str(elem) is text
+
+
 # --- canonical forms --------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ from massfusion import (
     vacuous_bba,
 )
 from massfusion import _transfer, bba, lattice, registry, rules_classic, rules_core, rules_pcr
-from massfusion.lattice import MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
+from massfusion.lattice import CLOSED, MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 
 from massfusion import dubois_prade, to_fraction
 from massfusion.cli import scenario_from_dict, sequential_fusion
@@ -924,3 +924,78 @@ def test_pcr2_and_dsm_hybrid_on_a_fresh_matrix_fold_once_and_never_walk(monkeypa
     assert run_rule(name, m).total() == pytest.approx(1.0, abs=1e-12)
     assert folds == [tuple(map(id, m.numerators()))] and walks == []
     assert conjunctive(m).reduced()[2] > 0  # there was conflict to walk
+
+
+# --- one naming path ------------------------------------------------------------
+
+
+def two_source_hybrid():
+    model = Model(Frame(["A", "B", "C"]), HYBRID, ["A&B"])
+    return matrix(model, {"A": 0.5, "B|C": 0.3, "A|B|C": 0.2}, {"B": 0.6, "A&C": 0.1, "A|C": 0.3})
+
+
+@pytest.mark.parametrize("name", ["conjunctive", "smets"])
+def test_a_built_consensus_view_is_read_out_with_no_reduction(monkeypatch, name):
+    """The view's keys are already reduced and disjoint, so the rule only joins and sorts them."""
+    m = two_source_hybrid()
+    assert conjunctive(m).numerators()[2] > 0  # conflicts to keep apart, or to put on ∅
+    calls, reduce = [], Model.reduce
+    monkeypatch.setattr(Model, "reduce", lambda self, elem: calls.append(elem) or reduce(self, elem))
+    result = run_rule(name, m)
+    assert calls == []
+    assert result.total() == pytest.approx(1.0, abs=1e-12)
+    assert any(e.empty for e in result)
+
+
+@given(matrices_and_fusion_models())
+@settings(max_examples=200, deadline=None)
+def test_single_source_dubois_prade_is_the_conjunctive_rule(case):
+    """One source has no product: Dubois-Prade reads out the consensus's view, conflicts kept apart."""
+    m, model = case
+    got, want = (run_rule(name, MassMatrix(m.sources[:1]), model) for name in ("dubois_prade", "conjunctive"))
+    assert [(e, e.empty, v) for e, v in got.items()] == [(e, e.empty, v) for e, v in want.items()]
+
+
+@st.composite
+def clause_keyed_twins(draw):
+    """2-3 sources on a Shafer frame of 2-6 labels, on two equal models: one keyed by region set, one by clauses.
+
+    The second model drops its mask of live regions, so :meth:`Model.keying`
+    gives it clause tuples, as it does on frames of 7-16 labels.  Focal
+    elements are free forms that the model may empty, θ0 when the model
+    enables it and ∅ in an open world.
+    """
+    n = draw(st.integers(2, MAX_HYPER_LABELS))
+    frame = Frame([chr(ord("A") + i) for i in range(n)])
+    world, theta0 = draw(st.sampled_from([CLOSED, OPEN])), draw(st.booleans())
+    twins = Model(frame, SHAFER, world=world, theta0=theta0), Model(frame, SHAFER, world=world, theta0=theta0)
+    twins[1]._alive = None
+    elements = [st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3).map(
+        lambda masks: frame.element(absorb_masks(masks)))]
+    elements += [st.just(frame.theta0())] if theta0 else []
+    elements += [st.just(frame.empty_element())] if world == OPEN else []
+    tables = []
+    for _ in range(draw(st.integers(2, 3))):
+        focals = draw(st.lists(st.one_of(elements), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 50), min_size=len(focals), max_size=len(focals)))
+        tables.append({e: Fraction(w, sum(weights)) for e, w in zip(focals, weights)})
+    return [MassMatrix([Bba(model, t) for t in tables]) for model in twins]
+
+
+@given(clause_keyed_twins())
+@settings(max_examples=150, deadline=None)
+def test_region_and_clause_keys_give_bit_identical_results(twins):
+    regions, clauses = twins
+    assert regions.model.keying()[3] == -1 and clauses.model.keying()[3] == ()
+    for name in RULES:
+        for opts in VARIANTS:
+            runs = []
+            for m in twins:
+                diag = Diagnostics()
+                try:
+                    result = run_rule(name, m, options=opts, diag=diag)
+                except TotalConflictError:
+                    runs.append(None)
+                    continue
+                runs.append(([(e, e.empty, v.hex()) for e, v in result.items()], diag))
+            assert runs[0] == runs[1], (name, opts)

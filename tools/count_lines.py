@@ -1,10 +1,12 @@
 """Count lines of code in Python files: no blank lines, comments or docstrings.
 
 A line counts when some token other than a comment starts on it or spans
-it, and it is not part of a module, class or function docstring.
+it, and it is not part of a module, class or function docstring.  Beside
+it goes each file's physical lines, docstrings, comments and blank lines
+included: with no ``.pyc`` to reuse, an import compiles all of them.
 
 Usage: ``python tools/count_lines.py [PATH ...]`` (default ``src/massfusion``).
-Prints one line per module and the total.
+Prints one line per module, code lines then physical lines, and the totals.
 """
 
 from __future__ import annotations
@@ -41,15 +43,21 @@ def count_file(path):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def physical_lines(path):
+    """All lines of one file, as the compiler reads them."""
+    return len(Path(path).read_bytes().splitlines())
+
+
 def main(argv=None):
     paths = [Path(p) for p in (argv if argv is not None else sys.argv[1:])] or [Path("src/massfusion")]
     files = sorted(f for p in paths for f in ([p] if p.is_file() else p.rglob("*.py")))
-    total = 0
+    total = physical = 0
+    print(f"{'code':>6}  {'lines':>6}")
     for f in files:
-        n = count_file(f)
-        total += n
-        print(f"{n:6d}  {f}")
-    print(f"{total:6d}  total")
+        n, p = count_file(f), physical_lines(f)
+        total, physical = total + n, physical + p
+        print(f"{n:6d}  {p:6d}  {f}")
+    print(f"{total:6d}  {physical:6d}  total")
     return 0
 
 
