@@ -2,8 +2,11 @@
 
 Every redistributing rule hands its conflict to :func:`redistribute` as
 units ``(source, mass, weightings, mask)``.  ``source`` names the
-conflict in the diagnostics and ``mass`` is a pair of ints ``(p, q)``,
-the unit's mass ``p/q``: a numerator over the consensus's denominator.
+conflict in the diagnostics, and is read only when a collector is passed
+(PCR5 names a term by its factors with their exact masses, built only
+then, and passes ``None`` otherwise).  ``mass`` is a pair of ints
+``(p, q)``, the unit's mass ``p/q``: a numerator over the consensus's
+denominator, a PCR5 term's product included.
 ``weightings`` is an ordered list of ``(stage, [(element, weight), ...],
 wden)`` with int weights over ``wden``: the first non-empty one splits
 ``mass`` by weight, and a named stage (``"column-sums"``) also records a

@@ -9,27 +9,30 @@ sequential fusion rounds once.  An exact mass is an integer numerator over
 a denominator its assignment shares: :meth:`Bba.numerators`, the integer
 view, built once per assignment, reads a rule result's floats with
 ``as_integer_ratio()`` and scales a user's snapped fractions, with no
-``Fraction`` for a result.  The folds multiply and add these integers, the
-consensus keeps its model view in them (:meth:`RawConjunctive.numerators`)
-and so do the column sums (:meth:`MassMatrix.column_numerators`); their
+``Fraction`` for a result.  The folds multiply and add these integers,
+and the consensus's model view (:meth:`RawConjunctive.numerators`), its
+free view (:meth:`RawConjunctive.free_numerators`) and the column sums
+(:meth:`MassMatrix.column_numerators`) are integers too; their
 ``Fraction`` views are built only when read, and are the same rationals.
 
 One product fold, :func:`_fold`, serves every rule but PCR5's walk: the
 conjunctive consensus (:func:`conjunctive`, run at most once per matrix and
 model), the disjunctive and Dubois-Prade folds, and hybrid DSm's fold over
 empty focal elements.  The walk (:func:`walk_terms`) only lists the
-conflicting product terms, for PCR5's :func:`conflict_ledger`, and no
-other rule walks.  PCR2's involved elements (:func:`involved`) come from
-folds of the sources' keys alone, with no masses.  A fold keeps integer
-numerators and names no entry.  One model view, :func:`_view`, reads the
-entries of the conjunctive and disjunctive folds: it merges them by what
-the model leaves alive and names each merged element once per model.  The
-consensus keeps its view (:meth:`RawConjunctive.numerators`); its free
-view ``RawConjunctive.masses`` is built only when read.  Every product
-pass takes its keys, intersection, union and emptiness test from the
-model, :meth:`Model.keying`: region sets on frames of at most six labels,
-where ``&`` and ``|`` intersect and unite, clause tuples on larger
-(Shafer) frames.  The model names every product the passes read under it,
+conflicting product terms, for PCR5 (exact PCR5 through
+:func:`conflict_ledger`), and no other rule walks.  It reads the same
+integer views as the fold, so a term's product is an int over the product
+of the views' denominators.  PCR2's involved elements (:func:`involved`)
+come from folds of the sources' keys alone, with no masses.  A fold keeps
+integer numerators and names no entry.  One model view, :func:`_view`,
+reads the entries of the conjunctive and disjunctive folds: it merges them
+by what the model leaves alive and names each merged element once per
+model.  The consensus keeps its view (:meth:`RawConjunctive.numerators`);
+its free view, in integers and as ``RawConjunctive.masses``, is built only
+when read.  Every product pass takes its keys, intersection, union and
+emptiness test from the model, :meth:`Model.keying`: region sets on frames
+of at most six labels, where ``&`` and ``|`` intersect and unite, clause
+tuples on larger (Shafer) frames.  The model names every product the passes read under it,
 merged groups and conflicts of a fold and the walk's conflicting terms,
 through :meth:`Model.name`, once per key.
 """
@@ -277,10 +280,10 @@ class MassMatrix:
 
 
 def column_sum(matrix, element, model=None):
-    """Sum of the masses the sources commit to one element."""
+    """Sum of the masses the sources commit to one element, read by :meth:`Model.canonical`."""
     model = model or matrix.model
     sums, den = matrix.column_numerators(model)
-    return sums.get(model.reduce(element), 0) / den
+    return sums.get(model.canonical(element), 0) / den
 
 
 def _scaled(masses):
@@ -371,10 +374,12 @@ class RawConjunctive:
 
     ``numerators()`` gives the model view in integers (:func:`_view`):
     merged non-empty masses, the per-element partial conflicts, and the
-    total conflict.  ``reduced()`` is the same view as exact rationals, and
-    ``masses`` the free view: each entry's free canonical form, named from
-    its clauses, mapped to its exact rational mass, empty-intersection
-    entries included, so the total is one.  Each is built on first read.
+    total conflict.  ``reduced()`` is the same view as exact rationals.
+    ``free_numerators()`` is the free view: each entry's free canonical
+    form, named from its clauses, with its integer numerator,
+    empty-intersection entries included, so the total is ``den``; and
+    ``masses`` is that view as exact rationals.  The views are built when
+    read, and all but the free integer view are kept.
     """
 
     __slots__ = ("model", "den", "_entries", "_masses", "_numerators", "_reduced")
@@ -384,12 +389,15 @@ class RawConjunctive:
         self._entries, self.den = entries, den
         self._masses = self._numerators = self._reduced = None
 
+    def free_numerators(self):
+        """The free view as ``(pairs, den)``, pairs in element order, as :meth:`Bba.numerators` gives one."""
+        element = self.model.frame.element
+        return ordered({element(absorb_masks(clauses)): v for clauses, v in self._entries.values()}).items(), self.den
+
     @property
     def masses(self):
         if self._masses is None:
-            element, den = self.model.frame.element, self.den
-            self._masses = ordered({element(absorb_masks(clauses)): Fraction(v, den)
-                                    for clauses, v in self._entries.values()})
+            self._masses = _over(dict(self.free_numerators()[0]), self.den)
         return self._masses
 
     def numerators(self):
@@ -424,26 +432,30 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
 class ConflictTerm(namedtuple("ConflictTerm", "factors product intersection")):
     """One product of focal elements with an empty combined intersection.
 
-    ``factors`` holds one (element, mass fraction) per source, ``product``
-    their product, and ``intersection`` the free canonical form of their
-    intersection, flagged empty by the model.
+    ``factors`` holds one ``(element, numerator)`` per walked view, its
+    mass over that view's denominator; ``product`` is the int product of
+    the numerators, over the product of the views' denominators (the
+    consensus's ``den``); ``intersection`` is the free canonical form of
+    the factors' intersection, flagged empty by the model.
     """
 
     __slots__ = ()
 
 
-def walk_terms(model, focal_lists):
+def walk_terms(model, views):
     """Every product of one focal element per source that is empty under ``model``: PCR5's terms.
 
-    ``focal_lists`` holds each source's (element, exact mass) pairs in
-    element order, such as ``src.fractions().items()``.  Returns the
-    :class:`ConflictTerm` values in lexicographic factor order.  The walk is
-    depth-first over the keys of :meth:`Model.keying`, so each prefix
-    intersection and prefix product is computed once and shared by every
-    term that extends it; at the last source a product is formed only for
-    a conflicting leaf, one that the model leaves nothing alive of.  Only
-    there is its intersection named, by :meth:`Model.name` under its free
-    key from its factors' clauses, once per model.
+    ``views`` holds one integer view ``(pairs, den)`` per source, in
+    element order, as :meth:`Bba.numerators` and
+    :meth:`RawConjunctive.free_numerators` give them.  Returns the
+    :class:`ConflictTerm` values in lexicographic factor order, with int
+    numerators and products.  The walk is depth-first over the keys of
+    :meth:`Model.keying`, so each prefix intersection and prefix product is
+    computed once and shared by every term that extends it; at the last
+    source a product is formed only for a conflicting leaf, one that the
+    model leaves nothing alive of.  Only there is its intersection named,
+    by :meth:`Model.name` under its free key from its factors' clauses,
+    once per model.
     """
     key, meet, _, top, live = model.keying()
 
@@ -451,9 +463,9 @@ def walk_terms(model, focal_lists):
         if not live(here):
             return model.name(here, [c for e, _ in factors for c in e.clauses])
 
-    keyed = [[(key(item[0]), item) for item in focals] for focals in focal_lists]
+    keyed = [[(key(item[0]), item) for item in pairs] for pairs, _ in views]
     terms = []
-    _walk(keyed, meet, conflict, terms, (), Fraction(1), top)
+    _walk(keyed, meet, conflict, terms, (), 1, top)
     return terms
 
 
@@ -499,10 +511,11 @@ class ConflictLedger(namedtuple("ConflictLedger", "terms")):
 def conflict_ledger(matrix, model=None):
     """Every product of source focal elements whose intersection is empty, for PCR5.
 
-    The terms come from one :func:`walk_terms` pass, made only when the
-    matrix's conjunctive consensus has conflict.
+    The terms come from one :func:`walk_terms` pass over the sources'
+    integer views, made only when the matrix's conjunctive consensus has
+    conflict.
     """
     model = model or matrix.model
     if not conjunctive(matrix, model).numerators()[2]:
         return ConflictLedger(())
-    return ConflictLedger(tuple(walk_terms(model, [src.fractions().items() for src in matrix.sources])))
+    return ConflictLedger(tuple(walk_terms(model, matrix.numerators())))

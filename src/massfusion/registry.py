@@ -14,8 +14,7 @@ from .rules_classic import (
     wao,
     yager,
 )
-from .lattice import ordered
-from .rules_core import _finish, conjunctive, disjunctive
+from .rules_core import _consensus, conjunctive, disjunctive
 from .rules_minc import VERSION_A, VERSION_B, minc
 from .rules_pcr import pcr1, pcr2, pcr3, pcr4, pcr5_approximate, pcr5_multi
 
@@ -43,8 +42,7 @@ VARIANTS = {
 
 def _run_conjunctive(matrix, model, opts, diag):
     raw = conjunctive(matrix, model)
-    nonempty, conflicts, _ = raw.numerators()
-    return _finish(model, {}, ints=(ordered({**nonempty, **conflicts}), raw.den))
+    return _consensus(model, raw.numerators(), raw.den)
 
 
 def _run_pcr5(matrix, model, opts, diag):
@@ -79,10 +77,14 @@ def run_rule(name, matrix, model=None, options=None, diag=None):
     """Run one registered rule on a matrix under ``model`` (the matrix's own by default).
 
     A single source goes through the rule too: its empty focal elements are
-    conflicting products of one factor.
+    conflicting products of one factor.  A ``model`` on another frame than
+    the matrix's raises ``ValueError``, as mixed sources do in
+    :class:`MassMatrix`.
     """
     if name not in RULES:
         raise KeyError(f"unknown rule {name!r}")
     options = options or RuleOptions()
     model = model or matrix.model
+    if model.frame != matrix.model.frame:
+        raise ValueError(f"the model's frame {model.frame!r} is not the matrix's {matrix.model.frame!r}")
     return RULES[name](matrix, model, options, diag)

@@ -31,7 +31,7 @@ from .bba import Bba, _concat
 from .errors import MassOnEmptyError, NotNormalizedError, TotalConflictError
 from .kernels import union_canon
 from .lattice import ordered
-from .rules_core import _finish, _fold, conjunctive
+from .rules_core import _consensus, _finish, _fold, conjunctive
 from .rules_pcr import pcr1
 
 
@@ -85,8 +85,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     model = model or matrix.model
     if matrix.s == 1:
         raw = conjunctive(matrix, model)
-        nonempty, conflicts, _ = raw.numerators()
-        return _finish(model, {}, ints=(ordered({**nonempty, **conflicts}), raw.den))
+        return _consensus(model, raw.numerators(), raw.den)
     key, _, _, _, live = model.keying()
     ignorance = model.frame.total_ignorance()
     top = live(key(ignorance))

@@ -18,7 +18,8 @@ sum of :func:`_transfer.rounded`.  Either way a float is the correctly
 rounded exact mass, as ``float(Fraction)`` is.  The consensus part is a
 fold's model view; a rule that keeps the partial conflicts apart joins the
 view's two maps, whose keys are disjoint, with :func:`ordered`, so no key
-is reduced again.
+is reduced again; :func:`_consensus` is that read-out, shared by the
+conjunctive and disjunctive rules and one-source Dubois-Prade.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ def disjunctive(matrix, model=None) -> Bba:
     model = model or matrix.model
     key, _, join = model.keying()[:3]
     entries, den = _fold(matrix.numerators(), key, join, _unite)
-    nonempty, conflicts, _ = _view(model, entries)
+    return _consensus(model, _view(model, entries), den)
+
+
+def _consensus(model, view, den):
+    """A fold's model view ``(nonempty, conflicts, k)`` over ``den`` read out, each partial conflict kept apart."""
+    nonempty, conflicts, _ = view
     return _finish(model, {}, ints=(ordered({**nonempty, **conflicts}), den))
 
 

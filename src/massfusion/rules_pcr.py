@@ -6,8 +6,9 @@ conflict over all columns (PCR1), over the columns involved in the conflict
 (PCR2), each partial conflict over its components' columns (PCR3) or their
 conjunctive masses (PCR4), and finally each individual product term over
 the masses composing it (PCR5: the consensus's non-empty masses plus the
-conflicting terms of the matrix's conflict ledger, the only rule that walks
-the product terms).
+conflicting product terms, the only rule that walks them; exact PCR5 walks
+the sources' integer views through the matrix's conflict ledger, the
+approximation the head consensus's free view and the last source's).
 Each rule only lists its conflict units for :func:`_transfer.redistribute`:
 ``(source, mass, weightings, mask)``, where ``weightings`` holds the
 rule's proportional weights and ``mask`` the labels of the conflict, or of
@@ -26,14 +27,16 @@ symbolically.  Every rule hands the consensus's non-empty masses to
 :func:`rules_core._finish` as integer numerators; a unit's mass is a
 numerator over the consensus's denominator, its weights are the integer
 column sums (:meth:`MassMatrix.column_numerators`), the consensus's
-numerators, or a PCR5 term's pooled factor masses scaled to integers, and
-each share it makes is a pair of ints (:mod:`_transfer`).
+numerators, or a PCR5 term's pooled factor numerators scaled to the
+consensus's denominator, and each share it makes is a pair of ints
+(:mod:`_transfer`).  PCR5 reads the exact ``Fraction`` maps of its views
+only to name a term by its factors in the records of a ``Diagnostics``
+collector, and only when one is passed.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import prod
 from operator import or_
 
 from ._transfer import redistribute
@@ -135,36 +138,44 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
 # --- PCR5 ------------------------------------------------------------------
 
 
-def _term_unit(model, term):
+def _term_unit(model, term, views, den, exact_maps=None):
     """One conflicting product term as a unit, split over the factors behind its conflict.
 
-    Factors pointing at one element pool their masses multiplicatively.  A
-    factor deserves a share when it is non-empty under the model and at
-    least one of its clauses survives in the canonical form of the
-    conflict; factors whose clauses are all absorbed (total or partial
-    ignorances covering the rest of the term) contributed nothing to the
-    emptiness and receive nothing.  A destination's weight is its pooled
-    numerator times the other destinations' pooled denominators, over the
-    product of them all.
+    ``views`` are the integer views ``(pairs, den)`` the walk read, one per
+    factor, and ``den``, the product of their denominators, is the
+    consensus's, so the unit's mass is ``(term.product, den)``.  Factors
+    pointing at one element pool their masses multiplicatively, numerators
+    and denominators apart.  A factor deserves a share when it is
+    non-empty under the model and at least one of its clauses survives in
+    the canonical form of the conflict; factors whose clauses are all
+    absorbed (total or partial ignorances covering the rest of the term)
+    contributed nothing to the emptiness and receive nothing.  A
+    destination's weight is its pooled numerator times ``den`` over its
+    pooled denominator, over ``den``: all int arithmetic.  With
+    ``exact_maps``, one map of exact masses per view, the unit is named by
+    its factors with those masses, for a collector's records; without, it
+    has no name.
     """
     groups = {}
-    for elem, mass in term.factors:
-        n, d = groups.get(elem, (1, 1))
-        groups[elem] = n * mass.numerator, d * mass.denominator
+    for (elem, v), (_, d) in zip(term.factors, views):
+        n, q = groups.get(elem, (1, 1))
+        groups[elem] = n * v, q * d
     zset = set(term.intersection.clauses)
-    dests = [(elem, nd) for elem, nd in groups.items()
+    dests = [(elem, n * (den // q)) for elem, (n, q) in groups.items()
              if not model.reduce(elem).empty and any(c in zset for c in elem.clauses)]
-    wden = prod(d for _, (_, d) in dests)
-    product = term.product
-    return (term.factors, (product.numerator, product.denominator),
-            [(None, [(elem, n * (wden // d)) for elem, (n, d) in dests], wden)],
-            reduce(or_, (e.labels_mask() for e in groups), 0))
+    source = None if exact_maps is None else tuple((e, m[e]) for (e, _), m in zip(term.factors, exact_maps))
+    return source, (term.product, den), [(None, dests, den)], reduce(or_, (e.labels_mask() for e in groups), 0)
 
 
-def _pcr5(matrix, model, terms, diag, exact=False):
-    """PCR5's result: the consensus's non-empty masses plus every term, split within itself."""
+def _pcr5(matrix, model, terms, views, exact_maps, diag, exact=False):
+    """PCR5's result: the consensus's non-empty masses plus every term of a walk over ``views``, split within itself.
+
+    ``exact_maps()`` gives the views' exact masses, read only when a
+    collector is passed.
+    """
     raw = conjunctive(matrix, model)
-    out = redistribute(model, {}, (_term_unit(model, term) for term in terms), diag)
+    maps = None if diag is None else exact_maps()
+    out = redistribute(model, {}, (_term_unit(model, term, views, raw.den, maps) for term in terms), diag)
     return _finish(model, out, exact, (raw.numerators()[0], raw.den))
 
 
@@ -179,7 +190,8 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     """
     model = model or m1.model
     matrix = MassMatrix((m1, m2))
-    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag, exact)
+    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, matrix.numerators(), matrix.fractions,
+                 diag, exact)
 
 
 def pcr5_multi(matrix, model=None, diag=None) -> Bba:
@@ -192,7 +204,7 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
     the matrix, and the conflicting terms from its conflict ledger.
     """
     model = model or matrix.model
-    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, diag)
+    return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, matrix.numerators(), matrix.fractions, diag)
 
 
 def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
@@ -201,7 +213,9 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     The first s-1 sources are combined conjunctively (conflict entries kept
     as lattice elements) and the stored result is then combined with the
     last source using the two-source PCR5 logic, over the conflicting terms
-    of one :func:`bba.walk_terms` pass.  The non-empty part is the whole
+    of one :func:`bba.walk_terms` pass over the stored result's free view
+    (:meth:`RawConjunctive.free_numerators`) and the last source's integer
+    view.  The non-empty part is the whole
     matrix's consensus, which is exact by associativity.  The order used is
     reported through the diagnostics; for two sources this is the exact
     pair rule, and a single source runs :func:`pcr5_multi`, with no order.
@@ -218,6 +232,6 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     if diag is not None:
         diag.order = order
     sources = [matrix.sources[i - 1] for i in order]
-    head = conjunctive(MassMatrix(sources[:-1]), model)
-    terms = walk_terms(model, [head.masses.items(), sources[-1].fractions().items()])
-    return _pcr5(matrix, model, terms, diag)
+    head, last = conjunctive(MassMatrix(sources[:-1]), model), sources[-1]
+    views = head.free_numerators(), last.numerators()
+    return _pcr5(matrix, model, walk_terms(model, views), views, lambda: (head.masses, last.fractions()), diag)

@@ -117,3 +117,8 @@ def shafer_abc(frame_abc):
 
 def matrix(model, *tables):
     return MassMatrix([Bba(model, t) for t in tables])
+
+
+def exact_factors(term, views):
+    """A conflict term's factors with exact masses: each numerator over the denominator of the view it came from."""
+    return tuple((elem, Fraction(n, den)) for (elem, n), (_, den) in zip(term.factors, views))

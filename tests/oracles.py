@@ -215,37 +215,43 @@ def conflict_ledger_reference(matrix, model=None):
     return terms, partials, k, frozenset(involved)
 
 
-def pcr5_enumeration_reference(model, focal_lists, diag=None):
-    """PCR5 streamed over the flat product of the given focal lists.
+def pcr5_enumeration_reference(model, views, diag=None):
+    """PCR5 streamed over the flat product of the given integer views.
 
-    ``focal_lists`` holds one sorted list of ``(element, exact mass)``
-    pairs per source.  Each product term is handled as soon as it is
-    formed: a non-empty one adds its product to its reduced intersection,
-    a conflicting one is split at once by the package's per-term unit and
-    redistribution loop, whose int-pair shares are summed as ``Fraction``s
-    under their reduced destinations at the end.
-    Returns the rational masses; records and fallbacks go to ``diag`` in
-    product order.
+    ``views`` holds one ``(pairs, den)`` per source: a sorted list of
+    ``(element, numerator)`` pairs, each mass its numerator over ``den``.
+    Each product term is handled as soon as it is formed: a non-empty one
+    adds its product, the numerators' product over the denominators', to
+    its reduced intersection, a conflicting one is split at once by the
+    package's per-term unit and redistribution loop, whose int-pair shares
+    are summed as ``Fraction``s under their reduced destinations at the
+    end.  Returns the rational masses; records and fallbacks go to
+    ``diag`` in product order, each term named by its factors with their
+    masses as ``Fraction``s.
     """
+    from math import prod as product_of
+
     from massfusion.bba import ConflictTerm
     from massfusion.kernels import intersect_canon
     from massfusion._transfer import redistribute
     from massfusion.rules_pcr import _term_unit
 
     frame = model.frame
+    den = product_of(d for _, d in views)
+    exact = [{elem: Fraction(n, d) for elem, n in pairs} for pairs, d in views]
     out, shares = {}, {}
-    for combo in product(*focal_lists):
+    for combo in product(*(pairs for pairs, _ in views)):
         clauses = combo[0][0].clauses
         prod = combo[0][1]
-        for elem, mass in combo[1:]:
+        for elem, n in combo[1:]:
             clauses = intersect_canon(clauses, elem.clauses)
-            prod *= mass
+            prod *= n
         red = model.reduce(frame.element(clauses))
         if not red.empty:
-            out[red] = out.get(red, Fraction(0)) + prod
+            out[red] = out.get(red, Fraction(0)) + Fraction(prod, den)
         else:
             term = ConflictTerm(tuple(combo), prod, frame.element(clauses, empty=True))
-            redistribute(model, shares, [_term_unit(model, term)], diag)
+            redistribute(model, shares, [_term_unit(model, term, views, den, exact)], diag)
     for elem, pairs in shares.items():
         red = model.reduce(elem)
         out[red] = out.get(red, Fraction(0)) + sum(Fraction(p, q) for p, q in pairs)

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from massfusion import (
     Bba,
     BeliefFusionError,
+    Frame,
+    HYBRID,
     MassMatrix,
     MassOnEmptyError,
     Model,
@@ -25,7 +27,7 @@ from massfusion import (
 )
 from massfusion import bba
 
-from conftest import exact_matrices, random_shafer_case
+from conftest import exact_factors, exact_matrices, random_shafer_case
 from oracles import conflict_ledger_reference
 
 
@@ -158,13 +160,26 @@ def test_identical_certain_sources_have_no_conflict(shafer_ab):
     assert not conflict_ledger(matrix).terms
 
 
+def test_column_sum_reads_its_element_as_the_model_does():
+    frame = Frame(["A", "B", "C"])
+    model = Model(frame, HYBRID, ["A&B"])
+    m = MassMatrix([Bba(model, {"A": 0.5, "C": 0.5}), Bba(model, {"(A|C)&(B|C)": 0.4, "B": 0.6})])
+    want = column_sum(m, model.canonical("C"))
+    assert want == pytest.approx(0.9)
+    assert column_sum(m, "C") == want  # a string, read as Bba reads its keys
+    # (A|C)&(B|C) is (A&B)|C, which the model merges with C
+    merged = Model(frame, FREE).canonical("(A|C)&(B|C)")
+    assert merged != frame.singleton("C") and column_sum(m, merged) == column_sum(m, "(A|C)&(B|C)") == want
+    assert column_sum(m, "A") == pytest.approx(0.5) and column_sum(m, "A&B") == 0
+
+
 def test_ledger_totals_agree_exactly(rng):
     for _ in range(60):
         model, sources = random_shafer_case(rng)
         matrix = MassMatrix(sources)
         ledger = conflict_ledger(matrix)
         nonempty, partials, k = conjunctive(matrix).reduced()
-        assert sum(t.product for t in ledger.terms) == k
+        assert Fraction(sum(t.product for t in ledger.terms), conjunctive(matrix).den) == k
         assert sum(partials.values(), Fraction(0)) == k
         assert 0 <= float(k) <= 1 + 1e-12
         assert 1 - sum(nonempty.values()) == k
@@ -203,7 +218,8 @@ def test_free_model_has_no_involvement(frame_abc, rng):
 def test_ledger_matches_the_flat_product_reference(matrix):
     ledger = conflict_ledger(matrix)
     terms, partials, k, involved = conflict_ledger_reference(matrix)
-    assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
+    views, den = matrix.numerators(), conjunctive(matrix).den
+    assert [(exact_factors(t, views), Fraction(t.product, den), t.intersection) for t in ledger.terms] == terms
     assert list(ledger.terms) == sorted(ledger.terms, key=lambda t: [e.clauses for e, _ in t.factors])
     _, got_partials, got_k = conjunctive(matrix).reduced()
     assert list(got_partials.items()) == sorted(partials.items())

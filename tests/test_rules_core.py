@@ -32,7 +32,7 @@ from massfusion import (
     shafer_as_hybrid,
     vacuous_bba,
 )
-from massfusion import _transfer, bba, lattice, registry, rules_classic, rules_core, rules_pcr
+from massfusion import _transfer, bba, lattice, rules_classic, rules_core, rules_pcr
 from massfusion.lattice import CLOSED, MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
 
 from massfusion import dubois_prade, to_fraction
@@ -41,7 +41,7 @@ from massfusion.kernels import absorb_masks, intersect_canon, union_canon
 from massfusion._transfer import redistribute
 from massfusion.rules_core import _finish
 
-from conftest import assert_bba, exact_matrices, matrix, random_shafer_case, union_of
+from conftest import assert_bba, exact_factors, exact_matrices, matrix, random_shafer_case, union_of
 from oracles import (
     conflict_ledger_reference,
     conjunctive_reference,
@@ -290,7 +290,8 @@ def test_theta0_and_the_empty_set_fold_and_walk_like_the_references(m):
     assert disjunctive(m) == Bba(model, {k: float(v) for k, v in merged.items()})
     ledger = conflict_ledger(m)
     terms, partials, k, involved = conflict_ledger_reference(m)
-    assert [(t.factors, t.product, t.intersection) for t in ledger.terms] == terms
+    views, den = m.numerators(), conjunctive(m).den
+    assert [(exact_factors(t, views), Fraction(t.product, den), t.intersection) for t in ledger.terms] == terms
     _, got_partials, got_k = conjunctive(m).reduced()
     assert list(got_partials.items()) == sorted(partials.items())
     assert got_k == k
@@ -508,7 +509,7 @@ def test_a_matrix_keeps_one_ledger_per_model():
     _, partials, k = conjunctive(m).reduced()
     summed = {}
     for term in ledger.terms:
-        summed[term.intersection] = summed.get(term.intersection, 0) + term.product
+        summed[term.intersection] = summed.get(term.intersection, 0) + Fraction(term.product, conjunctive(m).den)
     assert summed == partials and sum(summed.values()) == k
     assert conflict_ledger(m, Model(m.model.frame, FREE)).terms == ()
 
@@ -520,6 +521,20 @@ def test_pcr5_on_a_fresh_matrix_folds_once_and_walks_once(monkeypatch):
     assert pcr5_pair(m[0], m[2]).total() == pytest.approx(1.0, abs=1e-12)
     assert run_rule("pcr5", other).total() == pytest.approx(1.0, abs=1e-12)
     assert len(folds) == len(set(folds)) == 3 and len(walks) == 3
+
+
+def test_run_rule_refuses_a_model_of_another_frame():
+    m = hybrid_triple()
+    other = Model(Frame(["X", "Y"]), SHAFER)
+    for name in RULES:
+        with pytest.raises(ValueError, match="frame"):
+            run_rule(name, m, other)
+    # a fusion model on the matrix's own frame, with a constraint learned late, still runs
+    frame = m.model.frame
+    dynamic = Model(frame, HYBRID, m.model.constraints + (frame.singleton("C"),))
+    result = run_rule("pcr5", m, dynamic)
+    assert result == pcr5_multi(m, dynamic) and result.model == dynamic
+    assert result.total() == pytest.approx(1.0, abs=1e-12) and not result[frame.singleton("C")]
 
 
 @pytest.mark.parametrize("name, field, value", [
@@ -562,16 +577,17 @@ def test_collectors_compare_on_every_field(change):
 
 def test_terms_and_records_read_their_fields_by_name():
     m = hybrid_triple()
-    term = conflict_ledger(m).terms[0]
+    term, views = conflict_ledger(m).terms[0], m.numerators()
     assert (term.factors, term.product, term.intersection) == tuple(term)
-    assert term.product == reduce(lambda p, f: p * f[1], term.factors, Fraction(1))
+    exact = exact_factors(term, views)
+    assert Fraction(term.product, conjunctive(m).den) == reduce(lambda p, f: p * f[1], exact, Fraction(1))
     assert m.model.reduce(term.intersection).empty
     diag = Diagnostics()
     run_rule("pcr5", m, diag=diag)
     assert diag.records and sum(r.amount for r in diag.records) == conjunctive(m).reduced()[2]
     record = diag.records[0]
     assert (record.source, record.destination, record.amount, record.constant) == tuple(record)
-    assert record.source == term.factors  # PCR5 names a transfer by its term's factors
+    assert record.source == exact  # PCR5 names a transfer by its term's factors, with exact masses
     events = Diagnostics()
     events.record("X", "A", Fraction(1))
     events.fallback("X", "theta0", None, Fraction(1))
@@ -618,7 +634,7 @@ def each_rule_result(m, model):
         return _finish(model, out, exact, ints)
 
     with contextlib.ExitStack() as stack:
-        for module in (registry, rules_classic, rules_core, rules_pcr):
+        for module in (rules_classic, rules_core, rules_pcr):
             stack.enter_context(patch.object(module, "_finish", record))
         for name in RULES:
             for opts in VARIANTS:

@@ -29,7 +29,7 @@ from massfusion import (
     validate_bba,
     wao,
 )
-from massfusion import rules_pcr
+from massfusion import bba, rules_pcr
 from massfusion.rules_core import _finish
 
 from conftest import assert_bba, exact_matrices, matrix, random_shafer_case
@@ -322,22 +322,72 @@ def test_pcr5_entry_points_agree_exactly_on_two_sources(m):
     assert runs[0] == runs[1] == runs[2]
 
 
+def exact_finish(model, out, exact=False, ints=None):
+    """``_finish``'s exact read-out, patched in to read a rule's rational masses."""
+    return _finish(model, out, True, ints)
+
+
 @given(exact_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_pcr5_entry_points_match_the_enumeration_reference(m, data):
     order = data.draw(st.permutations(range(1, m.s + 1)))
     ordered = [m[i - 1] for i in order]
     head = conjunctive(MassMatrix(ordered[:-1]))
+    last_pairs, last_den = ordered[-1].numerators()
     cases = [(lambda d: pcr5_multi(m, diag=d),
-              [sorted(src.fractions().items()) for src in m.sources]),
+              [(sorted(pairs), den) for pairs, den in m.numerators()]),
              (lambda d: pcr5_approximate(m, order=order, diag=d),
-              [list(head.masses.items()), sorted(ordered[-1].fractions().items())])]
+              [(list(head.free_numerators()[0]), head.den), (sorted(last_pairs), last_den)])]
     # the entry points' rational masses: the exact read-out, not the float one
-    with patch.object(rules_pcr, "_finish", lambda model, out, exact=False, ints=None: _finish(model, out, True, ints)):
-        for rule, focal_lists in cases:
+    with patch.object(rules_pcr, "_finish", exact_finish):
+        for rule, views in cases:
             got, want = Diagnostics(), Diagnostics()
-            assert rule(got) == pcr5_enumeration_reference(m.model, focal_lists, want)
+            assert rule(got) == pcr5_enumeration_reference(m.model, views, want)
             assert (got.records, got.fallbacks) == (want.records, want.fallbacks)
+
+
+@st.composite
+def shafer_tables(draw):
+    """Labels of a Shafer frame of 2-4 labels, and 2-4 sources mapping label sets to exact masses."""
+    labels = [chr(ord("A") + i) for i in range(draw(st.integers(2, 4)))]
+    tables = []
+    for _ in range(draw(st.integers(2, 4))):
+        focals = draw(st.lists(st.frozensets(st.sampled_from(labels), min_size=1), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 1000), min_size=len(focals), max_size=len(focals)))
+        tables.append({f: Fraction(w, sum(weights)) for f, w in zip(focals, weights)})
+    return labels, tables
+
+
+@given(shafer_tables())
+@settings(max_examples=150, deadline=None)
+def test_exact_pcr5_equals_the_independent_reference_as_rationals(case):
+    labels, tables = case
+    model = Model(Frame(labels), SHAFER)
+    sources = [Bba(model, {"|".join(sorted(f)): v for f, v in table.items()}) for table in tables]
+    want = {model.canonical("|".join(sorted(key))): v for key, v in pcr5_reference(tables).items()}
+    if len(sources) == 2:
+        assert pcr5_pair(*sources, exact=True) == want
+    else:
+        with patch.object(rules_pcr, "_finish", exact_finish):
+            assert pcr5_multi(MassMatrix(sources)) == want
+
+
+def test_pcr5_reads_no_fraction_view_without_a_collector(shafer_abc, monkeypatch):
+    """Both PCR5 variants walk integer views only, on sources that are fed-back rule results."""
+    a = Bba(shafer_abc, {"A": 0.5, "B": 0.3, "A|C": 0.2})
+    b = Bba(shafer_abc, {"B": 0.6, "C": 0.3, "A|B|C": 0.1})
+    c = Bba(shafer_abc, {"A": 0.2, "C": 0.7, "B|C": 0.1})
+    sources = [pcr5_multi(MassMatrix([a, b])), dempster(MassMatrix([b, c])), pcr3(MassMatrix([a, c]))]
+    want = pcr5_multi(MassMatrix(sources)), pcr5_approximate(MassMatrix(sources), order=(3, 1, 2))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction view was read")
+
+    monkeypatch.setattr(Bba, "fractions", refuse)
+    monkeypatch.setattr(bba.RawConjunctive, "masses", property(refuse))
+    m = MassMatrix(sources)
+    assert conjunctive(m).numerators()[2]  # there is conflict to walk
+    assert (pcr5_multi(m), pcr5_approximate(m, order=(3, 1, 2))) == want
 
 
 def test_pcr5_under_late_emptiness_rounds_each_mass_once():
