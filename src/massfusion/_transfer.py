@@ -24,8 +24,9 @@ count ``c`` of floors, so the exact sum lies in ``[S, S + c)`` times
 ``2**-K``.  When both ends round to one float, that float is the correctly
 rounded exact sum: int true division rounds correctly and rounding is
 monotone.  Otherwise that mass alone is summed as a ``Fraction``
-(:func:`exact`).  Diagnostics get exact ``Fraction`` amounts, built only
-when a collector is passed.
+(:func:`exact`).  A collector is handed each amount as the int pair it
+is, and each split's constant as ``(total weight, wden)``; it builds their
+``Fraction``s only when its records are read (:mod:`diagnostics`).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def proportional(out, source, mass, weighted, wden, diag=None):
     for elem, w in weighted:
         add(out, elem, p * w, q)
         if diag is not None:
-            diag.record(source, elem, Fraction(p * w, q), Fraction(total, wden))
+            diag.record(source, elem, (p * w, q), (total, wden))
 
 
 def fallback_chain(model, out, source, mass, mask, diag=None):
@@ -88,7 +89,7 @@ def fallback_chain(model, out, source, mass, mask, diag=None):
                       else ("empty-set", frame.empty_element()))
     add(out, elem, *mass)
     if diag is not None:
-        diag.fallback(source, name, elem, Fraction(*mass))
+        diag.fallback(source, name, elem, mass)
 
 
 def redistribute(model, out, units, diag=None):
@@ -98,7 +99,7 @@ def redistribute(model, out, units, diag=None):
             if weighted:
                 proportional(out, source, mass, weighted, wden, diag)
                 if stage is not None and diag is not None:
-                    diag.fallback(source, stage, None, Fraction(*mass))
+                    diag.fallback(source, stage, None, mass)
                 break
         else:
             fallback_chain(model, out, source, mass, mask, diag)

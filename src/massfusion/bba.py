@@ -239,6 +239,18 @@ class MassMatrix:
     def s(self):
         return len(self.sources)
 
+    def under(self, model=None):
+        """The model a rule reads this matrix under: ``model``, or the matrix's own when None.
+
+        Every rule resolves its model here first, so a ``model`` on another
+        frame than the matrix's raises ``ValueError``, as mixed sources do.
+        """
+        if model is None or model is self.model:
+            return self.model
+        if model.frame != self.model.frame:
+            raise ValueError(f"the model's frame {model.frame!r} is not the matrix's {self.model.frame!r}")
+        return model
+
     def __len__(self):
         return len(self.sources)
 
@@ -259,7 +271,7 @@ class MassMatrix:
         a different model is supplied (dynamic fusion), merging columns that
         the new constraints identify.
         """
-        model = model or self.model
+        model = self.under(model)
         if model not in self._columns:
             self._columns[model] = self._column_sums(model)
         return self._columns[model]
@@ -281,7 +293,7 @@ class MassMatrix:
 
 def column_sum(matrix, element, model=None):
     """Sum of the masses the sources commit to one element, read by :meth:`Model.canonical`."""
-    model = model or matrix.model
+    model = matrix.under(model)
     sums, den = matrix.column_numerators(model)
     return sums.get(model.canonical(element), 0) / den
 
@@ -421,7 +433,7 @@ def conjunctive(matrix, model=None) -> RawConjunctive:
     because intersection on the free lattice is associative.  Under a free
     model nothing is empty and the result is itself a proper assignment.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = matrix._consensus.get(model)
     if raw is None:
         key, meet = model.keying()[:2]
@@ -515,7 +527,7 @@ def conflict_ledger(matrix, model=None):
     integer views, made only when the matrix's conjunctive consensus has
     conflict.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     if not conjunctive(matrix, model).numerators()[2]:
         return ConflictLedger(())
     return ConflictLedger(tuple(walk_terms(model, matrix.numerators())))

@@ -17,10 +17,10 @@ of hybrid DSm's all-empty products (:func:`absorb_masks` of the first
 product's concatenated clauses).  They still do all the clause work of the
 expression parser, which combines each label's one-clause tuple with
 :func:`intersect_canon` and :func:`union_canon` as it reads, and of the
-model's prime forms (:mod:`lattice`); and of the conjunctive and
-disjunctive folds, the walk, hybrid DSm's fold over empty focal elements
-and PCR2's involved elements on Shafer frames of 7-16 labels, where the
-disjunctive fold's key is the union's clause tuple itself.  The test
+conjunctive and disjunctive folds, the walk, hybrid DSm's fold over empty
+focal elements and PCR2's involved elements on Shafer frames of 7-16
+labels, where the disjunctive fold's key is the union's clause tuple
+itself.  A model's prime forms take none of them (:mod:`lattice`).  The test
 oracles and the benchmark's tracer use them too.
 """
 

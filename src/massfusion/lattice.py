@@ -24,10 +24,15 @@ keyed, named and ordered.  One pattern defines a label: :class:`Frame`
 accepts only labels it matches whole, and the expression parser reads its
 tokens with it, so every label parses back.  The parser builds clause
 tuples directly, with no parse tree: each label is a one-clause tuple,
-combined by the :mod:`kernels` as it is read.  :meth:`Model.reduce` and
-the prime forms work on clause tuples through the kernels too.  The
-disjunctive form a degenerate conflict falls back to is built here alone,
-from a label mask, by :meth:`Model.disjunctive`.
+combined by the :mod:`kernels` as it is read.  A hybrid model rewrites a
+non-empty element to its prime form, the minimal clauses meeting every
+region it keeps alive, by a closure over a bitmap of label sets
+(:meth:`Model._prime_clauses`): a few shifts and ORs per label, with no
+scan of the clause masks.  The disjunctive form a degenerate conflict
+falls back to is built here alone, from a label mask, by
+:meth:`Model.disjunctive`, which reads the reduce cache before it builds
+an element.  A frame builds each clause's text once
+(:meth:`Frame.mask_str`), and an element its name once from those texts.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class Frame:
     closure hypothesis.
     """
 
-    __slots__ = ("labels", "n", "full_mask", "_index")
+    __slots__ = ("labels", "n", "full_mask", "_index", "_names")
 
     def __init__(self, labels):
         labels = tuple(labels)
@@ -78,6 +83,7 @@ class Frame:
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._names = {}  # clause mask -> its text, strings only, so no cycle
 
     def index(self, label):
         try:
@@ -103,7 +109,11 @@ class Frame:
         return self.element((), empty=False)
 
     def mask_str(self, mask):
-        return "|".join(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        """The text of a clause mask, its labels joined by ``|``; built once per mask."""
+        text = self._names.get(mask)
+        if text is None:
+            text = self._names[mask] = "|".join(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        return text
 
     def __repr__(self):
         return f"Frame({list(self.labels)!r})"
@@ -125,7 +135,8 @@ class CanonicalElement:
     on the clause tuple only, so the same element compares equal whether or
     not a model has flagged it.  Its region set and its printed name are
     each built on first read and kept, so an element the model caches is
-    named once however many results print it.
+    named once however many results print it; each clause's text is built
+    once per frame (:meth:`Frame.mask_str`).
     """
 
     __slots__ = ("frame", "clauses", "empty", "_hash", "_regions", "_text")
@@ -174,14 +185,11 @@ class CanonicalElement:
                 self._text = "θ0"
             elif self.is_classical_empty:
                 self._text = "∅"
+            elif len(self.clauses) == 1:
+                self._text = self.frame.mask_str(self.clauses[0])
             else:
-                parts = []
-                for c in self.clauses:
-                    s = self.frame.mask_str(c)
-                    if len(self.clauses) > 1 and "|" in s:
-                        s = f"({s})"
-                    parts.append(s)
-                self._text = "&".join(parts)
+                names = map(self.frame.mask_str, self.clauses)
+                self._text = "&".join(f"({s})" if "|" in s else s for s in names)
         return self._text
 
     def __repr__(self):
@@ -272,6 +280,19 @@ def _region_table(n):
 
 
 _REGION_TABLES = {n: _region_table(n) for n in range(1, MAX_HYPER_LABELS + 1)}
+
+
+def _label_steps(n):
+    """Bitmaps over the ``2**n`` label sets (bit ``t`` for set ``t``): ``(every, steps)``.
+
+    ``every`` marks every set; ``steps`` holds, per label ``i``, the shift
+    ``1 << i`` that adds the label, and the bitmap of the sets without it.
+    """
+    return (1 << (1 << n)) - 1, tuple(
+        (1 << i, sum(1 << t for t in range(1 << n) if not t >> i & 1)) for i in range(n))
+
+
+_LABEL_STEPS = {n: _label_steps(n) for n in range(1, MAX_HYPER_LABELS + 1)}
 
 
 def region_set(clauses, n):
@@ -400,9 +421,11 @@ class Model:
         labels (``element.labels_mask()``); mask 0 gives ∅.  Every region
         the model leaves alive has its subsets alive too, so the form keeps
         exactly the labels whose singleton is alive, and is empty when none
-        is.
+        is.  A mask already reduced is read from the reduce cache, with no
+        element built.
         """
-        return self.reduce(self.frame.element((mask,)))
+        hit = self._reduce_cache.get((mask,))
+        return hit if hit is not None else self.reduce(self.frame.element((mask,)))
 
     def keying(self):
         """How the product passes key, intersect, unite and test elements: ``(key, meet, join, top, live)``.
@@ -463,10 +486,31 @@ class Model:
         """Reduced conjunctive form of a non-empty region set.
 
         A clause is an implicate when it meets every region of the set; the
-        form is the antichain of the minimal implicates.
+        form is the antichain of the minimal implicates, in ascending order.
+        A clause misses a region exactly when its complement includes it,
+        so the implicates are the complements of the label sets that include
+        no region.  On a bitmap over label sets (:func:`_label_steps`) the
+        sets that include a region are the regions' up-closure, one shift
+        and OR per label; the rest form a down-set, whose maximal members,
+        those that no one-label shift of a member reaches, are the
+        complements of the minimal implicates.  Read from the top bit down,
+        the complements come out in ascending order.
         """
-        table = _REGION_TABLES[self.frame.n]
-        return absorb_masks([c for c in range(1, len(table)) if not cellmask & ~table[c]])
+        full = self.frame.full_mask
+        every, steps = _LABEL_STEPS[self.frame.n]
+        up = cellmask << 1  # region r is label set r, bit r - 1 of cellmask
+        for shift, without in steps:
+            up |= (up & without) << shift
+        none = every ^ up
+        grown = 0
+        for shift, without in steps:
+            grown |= none >> shift & without
+        maximal, clauses = none & ~grown, []
+        while maximal:
+            top = maximal.bit_length() - 1
+            clauses.append(full ^ top)
+            maximal ^= 1 << top
+        return tuple(clauses)
 
     def total_ignorance(self):
         return self.reduce(self.frame.total_ignorance())

@@ -78,13 +78,9 @@ def run_rule(name, matrix, model=None, options=None, diag=None):
 
     A single source goes through the rule too: its empty focal elements are
     conflicting products of one factor.  A ``model`` on another frame than
-    the matrix's raises ``ValueError``, as mixed sources do in
-    :class:`MassMatrix`.
+    the matrix's raises ``ValueError`` (:meth:`MassMatrix.under`), as it
+    does for every rule function.
     """
     if name not in RULES:
         raise KeyError(f"unknown rule {name!r}")
-    options = options or RuleOptions()
-    model = model or matrix.model
-    if model.frame != matrix.model.frame:
-        raise ValueError(f"the model's frame {model.frame!r} is not the matrix's {matrix.model.frame!r}")
-    return RULES[name](matrix, model, options, diag)
+    return RULES[name](matrix, matrix.under(model), options or RuleOptions(), diag)

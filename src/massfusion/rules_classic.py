@@ -41,7 +41,7 @@ def dempster(matrix, model=None, diag=None) -> Bba:
     Raises :class:`TotalConflictError` when the degree of conflict reaches
     one, where the normalization is undefined.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
     if (raw.den - k) * 10 ** 12 <= raw.den:  # 1 - k <= 1e-12, in integers
@@ -51,7 +51,7 @@ def dempster(matrix, model=None, diag=None) -> Bba:
 
 def smets(matrix, model=None, diag=None) -> Bba:
     """Smets' rule: unnormalized conjunctive consensus, conflict on ∅."""
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
     if k:  # ∅ is never among the non-empty masses, which are already reduced
@@ -61,7 +61,7 @@ def smets(matrix, model=None, diag=None) -> Bba:
 
 def yager(matrix, model=None, diag=None) -> Bba:
     """Yager's rule: the whole conflict reinforces the total ignorance."""
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
     units = [("total-conflict", (k, raw.den), [], 0)] if k else []
@@ -82,7 +82,7 @@ def dubois_prade(matrix, model=None, diag=None) -> Bba:
     One source has no product: its result is the consensus's view, as the
     conjunctive rule reads it, each empty focal element kept apart.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     if matrix.s == 1:
         raw = conjunctive(matrix, model)
         return _consensus(model, raw.numerators(), raw.den)
@@ -138,7 +138,7 @@ def dsm_hybrid(matrix, model=None, diag=None) -> Bba:
     as one unit, less its all-empty products, which move as one unit per
     label union (:func:`_all_empty_products`).
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = conjunctive(matrix, model)
     nonempty, conflicts, k = raw.numerators()
     rest, units = dict(conflicts), []
@@ -161,7 +161,7 @@ def weighted_operator(matrix, weights, model=None, diag=None) -> Bba:
     rejected here too, and a weight on an element the model empties, other
     than the classical empty set, raises ``MassOnEmptyError``.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     wnorm = Bba(model, weights).fractions()
     for elem, w in wnorm.items():
         if w and not elem.is_classical_empty and model.reduce(elem).empty:
@@ -196,7 +196,7 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
         return pcr1(matrix, model, diag)
     if mode != STATIC:
         raise ValueError(f"unknown mode {mode!r}")
-    model = model or matrix.model
+    model = matrix.under(model)
     raw = conjunctive(matrix, model)
     nonempty, _, k = raw.numerators()
     out, dropped = {}, 0
@@ -209,7 +209,7 @@ def wao(matrix, mode=STATIC, model=None, diag=None) -> Bba:
                 continue
             add(out, elem, k * c, q)
             if diag is not None:
-                diag.record("total-conflict", elem, Fraction(k * c, q), Fraction(matrix.s))
+                diag.record("total-conflict", elem, (k * c, q), (matrix.s, 1))
     if diag is not None and dropped:
         diag.sum_deficit = dropped / q
     return _finish(model, out, ints=(nonempty, raw.den))

@@ -63,7 +63,7 @@ def disjunctive(matrix, model=None) -> Bba:
     (:func:`bba._view`), so a union that the model empties, whose factors
     are then all empty, is kept apart as a partial conflict is.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     key, _, join = model.keying()[:3]
     entries, den = _fold(matrix.numerators(), key, join, _unite)
     return _consensus(model, _view(model, entries), den)

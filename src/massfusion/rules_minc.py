@@ -55,4 +55,4 @@ def minc(matrix, version=VERSION_A, model=None, diag=None) -> Bba:
     if version not in (VERSION_A, VERSION_B):
         raise ValueError(f"unknown minC version {version!r}")
     destinations = _destinations_a if version == VERSION_A else _destinations_b
-    return _partial_conflicts(matrix, model or matrix.model, diag, destinations)
+    return _partial_conflicts(matrix, matrix.under(model), diag, destinations)

@@ -70,7 +70,7 @@ def pcr1(matrix, model=None, diag=None) -> Bba:
     The simplest proportionalization; it works in every degenerate case but
     a totally ignorant source shifts the result.
     """
-    return _total_conflict(matrix, model or matrix.model, diag, involved_only=False)
+    return _total_conflict(matrix, matrix.under(model), diag, involved_only=False)
 
 
 def pcr2(matrix, model=None, diag=None) -> Bba:
@@ -81,7 +81,7 @@ def pcr2(matrix, model=None, diag=None) -> Bba:
     factors; :func:`bba.involved` finds these from the sources' keys,
     without listing the product terms.
     """
-    return _total_conflict(matrix, model or matrix.model, diag, involved_only=True)
+    return _total_conflict(matrix, matrix.under(model), diag, involved_only=True)
 
 
 def _partial_conflicts(matrix, model, diag, destinations=None):
@@ -117,7 +117,7 @@ def _partial_conflicts(matrix, model, diag, destinations=None):
 
 def pcr3(matrix, model=None, diag=None) -> Bba:
     """PCR3: each partial conflict over its components' column sums."""
-    return _partial_conflicts(matrix, model or matrix.model, diag)
+    return _partial_conflicts(matrix, matrix.under(model), diag)
 
 
 def _pcr4_destinations(model, conflict, components, nonempty):
@@ -132,7 +132,7 @@ def pcr4(matrix, model=None, diag=None) -> Bba:
     back to column sums, then to the partial ignorance of the components
     (their disjunctive form), then to the total ignorance.
     """
-    return _partial_conflicts(matrix, model or matrix.model, diag, _pcr4_destinations)
+    return _partial_conflicts(matrix, matrix.under(model), diag, _pcr4_destinations)
 
 
 # --- PCR5 ------------------------------------------------------------------
@@ -188,8 +188,8 @@ def pcr5_pair(m1, m2, model=None, diag=None, exact=False):
     the result keeps its rational masses instead of becoming a ``Bba``.
     Same as :func:`pcr5_multi` on the two sources.
     """
-    model = model or m1.model
     matrix = MassMatrix((m1, m2))
+    model = matrix.under(model)
     return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, matrix.numerators(), matrix.fractions,
                  diag, exact)
 
@@ -203,7 +203,7 @@ def pcr5_multi(matrix, model=None, diag=None) -> Bba:
     from the matrix's conjunctive consensus, shared with the other rules on
     the matrix, and the conflicting terms from its conflict ledger.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     return _pcr5(matrix, model, conflict_ledger(matrix, model).terms, matrix.numerators(), matrix.fractions, diag)
 
 
@@ -220,7 +220,7 @@ def pcr5_approximate(matrix, model=None, order=None, diag=None) -> Bba:
     reported through the diagnostics; for two sources this is the exact
     pair rule, and a single source runs :func:`pcr5_multi`, with no order.
     """
-    model = model or matrix.model
+    model = matrix.under(model)
     if order is None:
         order = tuple(range(1, matrix.s + 1))
     else:

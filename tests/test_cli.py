@@ -2,13 +2,18 @@ import contextlib
 import copy
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from massfusion import RULE_ORDER, MassMatrix, RuleOptions
-from massfusion.cli import RuleRun, _dump, compare_rules, load_scenario, main, run_scenario, sequential_fusion
+from massfusion import (
+    RULE_ORDER, Diagnostics, FallbackEvent, MassMatrix, RedistributionRecord, RuleOptions, _transfer, diagnostics,
+)
+from massfusion.cli import (
+    RuleRun, _dump, compare_rules, load_scenario, main, render_report, run_scenario, sequential_fusion,
+)
 
 ZADEH = {
     "frame": ["A", "B", "C"],
@@ -574,6 +579,58 @@ def test_shipped_scenario_output_matches_its_snapshot(stem, run, monkeypatch, ca
     monkeypatch.chdir(GOLDEN.parent.parent)  # the report names the scenario path as given
     assert main([f"scenarios/{stem}.json", *GOLDEN_FLAGS[run]]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{stem}.{run}.txt").read_bytes()
+
+
+LAZY_RUNS = {"all": {}, "pcr5-approx": {"pcr5": "approx"},
+             "minc-b-wao-dynamic": {"minc_version": "b", "wao_mode": "dynamic"}}
+
+
+def _no_fraction(*args):
+    raise AssertionError("a Fraction was built while the rules ran")
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+@pytest.mark.parametrize("run", LAZY_RUNS)
+def test_a_collector_builds_its_fractions_only_when_read(path, run, monkeypatch):
+    """Rules hand the collector int pairs; its records read back as the same exact ``Fraction``s."""
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    scenario = load_scenario(f"scenarios/{path.name}", {"rules": list(RULE_ORDER), **LAZY_RUNS[run]})
+    handed = []
+
+    def logged(method):
+        original = getattr(Diagnostics, method)
+        return lambda self, *args: handed.append((self, method, args)) or original(self, *args)
+
+    for method in ("record", "fallback"):
+        monkeypatch.setattr(Diagnostics, method, logged(method))
+    with monkeypatch.context() as patched:
+        patched.setattr(_transfer, "Fraction", _no_fraction)
+        patched.setattr(diagnostics, "Fraction", _no_fraction)
+        report = run_scenario(scenario)
+    golden = GOLDEN / f"{path.stem}.{run}.txt"
+    if golden.exists():
+        assert (render_report(report, "machine") + "\n").encode("utf-8") == golden.read_bytes()
+    assert handed or not report.k  # every scenario with conflict hands over amounts
+    for rule in report.runs:
+        records = [RedistributionRecord(*args[:2], Fraction(*args[2]), Fraction(*args[3]))
+                   for diag, method, args in handed if diag is rule.diag and method == "record"]
+        fallbacks = [FallbackEvent(*args[:3], Fraction(*args[3]))
+                     for diag, method, args in handed if diag is rule.diag and method == "fallback"]
+        assert (rule.diag.records, rule.diag.fallbacks) == (records, fallbacks)
+        assert all(type(r.amount) is type(r.constant) is Fraction for r in rule.diag.records)
+        assert all(type(f.amount) is Fraction for f in rule.diag.fallbacks)
+
+
+def test_a_collector_takes_a_fraction_or_an_int_pair():
+    diag = Diagnostics()
+    diag.record("X", "A", Fraction(1, 3), Fraction(2))
+    diag.record("X", "B", (2, 6), (4, 2))
+    diag.fallback("X", "theta0", None, (1, 3))
+    assert diag.records == [RedistributionRecord("X", "A", Fraction(1, 3), Fraction(2)),
+                            RedistributionRecord("X", "B", Fraction(1, 3), Fraction(2))]
+    diag.record("Y", "A", (1, 2))
+    assert diag.records[-1] == RedistributionRecord("Y", "A", Fraction(1, 2), None)
+    assert diag.fallbacks == [FallbackEvent("X", "theta0", None, Fraction(1, 3))]
 
 
 def test_column_sums_are_computed_once_per_matrix_and_model(monkeypatch, capsys):

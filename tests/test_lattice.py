@@ -1,10 +1,14 @@
 import itertools
+import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from massfusion import (
     Bba,
+    CanonicalElement,
     CapacityError,
     ExprSyntaxError,
     FREE,
@@ -220,6 +224,16 @@ def test_disjunctive_form_keeps_the_live_labels(frame_abc):
     assert model.disjunctive(0) == frame_abc.empty_element() and model.disjunctive(0).empty
 
 
+def test_a_disjunctive_form_already_reduced_builds_no_element(frame_abc, monkeypatch):
+    model = Model(frame_abc, HYBRID, ["A&B"])
+    first = model.disjunctive(0b011)
+    built = []
+    init = CanonicalElement.__init__
+    monkeypatch.setattr(CanonicalElement, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert model.disjunctive(0b011) is first and str(first) == "A|B"
+    assert built == []
+
+
 # --- region-semantics oracle ------------------------------------------------
 
 
@@ -278,6 +292,29 @@ def test_prime_form_matches_oracle_reconstruction(frame_abc):
         elem = model.canonical(text)
         regs = oracle.evaluate(text)
         assert elem.clauses == prime_clauses_of_regions(regs, frame_abc.n)
+
+
+def _regions_of(cellmask):
+    """The region set a mask over regions stands for: region ``r`` is bit ``r - 1``."""
+    return {r for r in range(1, cellmask.bit_length() + 1) if cellmask >> (r - 1) & 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prime_forms_match_the_oracle_on_every_region_set(n):
+    model = Model(Frame([chr(ord("A") + i) for i in range(n)]), HYBRID)
+    for cellmask in range(1, 1 << ((1 << n) - 1)):
+        assert model._prime_clauses(cellmask) == prime_clauses_of_regions(_regions_of(cellmask), n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_prime_forms_match_the_oracle_on_random_region_sets(n):
+    """Arbitrary region sets, not only the up-sets expressions reach, from dense to a single region."""
+    model = Model(Frame([chr(ord("A") + i) for i in range(n)]), HYBRID)
+    rng, width = random.Random(n), (1 << n) - 1
+    for _ in range(20_000):
+        cellmask = reduce(and_, (rng.getrandbits(width) for _ in range(rng.randint(1, 6))))
+        cellmask = cellmask or 1 << rng.randrange(width)
+        assert model._prime_clauses(cellmask) == prime_clauses_of_regions(_regions_of(cellmask), n)
 
 
 @st.composite

@@ -23,14 +23,27 @@ from massfusion import (
     RuleOptions,
     SHAFER,
     TotalConflictError,
+    column_sum,
     conflict_ledger,
     conjunctive,
+    dempster,
     disjunctive,
+    dsm_hybrid,
+    minc,
+    pcr1,
+    pcr2,
+    pcr3,
+    pcr4,
+    pcr5_approximate,
     pcr5_multi,
     pcr5_pair,
     run_rule,
     shafer_as_hybrid,
+    smets,
     vacuous_bba,
+    wao,
+    weighted_operator,
+    yager,
 )
 from massfusion import _transfer, bba, lattice, rules_classic, rules_core, rules_pcr
 from massfusion.lattice import CLOSED, MAX_HYPER_LABELS, MAX_POWERSET_LABELS, OPEN
@@ -535,6 +548,30 @@ def test_run_rule_refuses_a_model_of_another_frame():
     result = run_rule("pcr5", m, dynamic)
     assert result == pcr5_multi(m, dynamic) and result.model == dynamic
     assert result.total() == pytest.approx(1.0, abs=1e-12) and not result[frame.singleton("C")]
+
+
+RULE_FUNCTIONS = {
+    "conjunctive": conjunctive, "disjunctive": disjunctive, "dempster": dempster, "smets": smets,
+    "yager": yager, "dubois_prade": dubois_prade, "dsm_hybrid": dsm_hybrid,
+    "wao": lambda m, model: wao(m, model=model),
+    "wao_dynamic": lambda m, model: wao(m, "dynamic", model),
+    "minc": lambda m, model: minc(m, model=model),
+    "minc_b": lambda m, model: minc(m, "b", model),
+    "pcr1": pcr1, "pcr2": pcr2, "pcr3": pcr3, "pcr4": pcr4, "pcr5_multi": pcr5_multi,
+    "pcr5_pair": lambda m, model: pcr5_pair(m[0], m[1], model),
+    "pcr5_approximate": pcr5_approximate,
+    "weighted_operator": lambda m, model: weighted_operator(m, {"A": 1.0}, model),
+    "column_sum": lambda m, model: column_sum(m, "A", model),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULE_FUNCTIONS))
+def test_every_rule_function_refuses_a_model_of_another_frame(rule):
+    m = hybrid_triple()
+    with pytest.raises(ValueError, match="frame"):
+        RULE_FUNCTIONS[rule](m, Model(Frame(["X", "Y"]), SHAFER))
+    # the matrix's own frame under another model still runs
+    RULE_FUNCTIONS[rule](m, Model(m.model.frame, FREE))
 
 
 @pytest.mark.parametrize("name, field, value", [
